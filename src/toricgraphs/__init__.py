@@ -15,11 +15,13 @@ from .grobner import (
     s_binomial,
 )
 from .invariants import (
+    FamilyInvariants,
     HilbertSeries,
     HomologicalSummary,
     HVector,
     betti_formula_grd,
     betti_formula_k2d,
+    family_invariants,
     hilbert_enumeration_oracle,
     hilbert_formula_grd,
     hilbert_from_betti,
@@ -28,7 +30,6 @@ from .invariants import (
     lower_bounds_from_induced,
     minimal_generators_oracle,
     reg_pdim,
-    strand_transfer,
 )
 from .quotients import (
     BettiTable,

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 domain/usage error, 2 verification failure
 (the math disagrees), 3 budget exhaustion.
+
+`verify` gives each check the status pass, fail or budget (the check ran out
+of its search budget; the other checks still run).  Its overall status is
+fail (exit 2) if any check failed, else budget (exit 3) if any check ran out
+of budget, else pass (exit 0).
 """
 
 from __future__ import annotations
@@ -11,13 +16,11 @@ import ast
 import json
 import sys
 import time
-from math import comb
 
 from .errors import BudgetError, ConsistencyError, DomainError, ParseError
 from .graphs import SimpleGraph, build_grd, build_k2d, parse_graph, serialize_graph
 from .grobner import (
     GrevlexOrder,
-    Monomial,
     buchberger,
     default_order,
     format_binomial,
@@ -25,22 +28,20 @@ from .grobner import (
     initial_ideal,
 )
 from .invariants import (
-    betti_formula_grd,
-    betti_formula_k2d,
+    family_invariants,
     hilbert_enumeration_oracle,
-    hilbert_formula_grd,
     hilbert_from_betti,
     hvector_extract,
     krull_dim,
     lower_bounds_from_induced,
     minimal_generators_oracle,
     reg_pdim,
-    strand_transfer,
 )
 from .quotients import betti_taylor_oracle, betti_from_linear_quotients, quotient_profile, sort_ascending
 from .walks import (
     default_max_len,
     enumerate_primitive_walks,
+    family_initial_generators,
     family_primitive_walks,
     walk_to_binomial,
 )
@@ -96,6 +97,12 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _closed_forms(graph):
+    if graph.family is None:
+        raise DomainError("--method formula needs a family graph (--grd or --k2d)")
+    return family_invariants(graph.family)
+
+
 def _primitive_basis(graph, order, budget):
     if graph.family is not None:
         walks = family_primitive_walks(graph)
@@ -139,8 +146,7 @@ def cmd_walks(args) -> int:
     if truncated:
         note = f"note: search capped at {max_len}, below the general bound 2|E| = {general}"
         if graph.family is not None:
-            name = "G(r,d) bound 2r =" if graph.family.kind == "grd" else "K_{2,d} bound"
-            note += f"; proven {name} {default_max_len(graph)}"
+            note += f"; proven {family_invariants(graph.family).bound_name} {default_max_len(graph)}"
         lines.append(note)
     lines += [" ".join(w.edge_names) for w in walks]
     _emit(args, payload, "\n".join(lines))
@@ -167,16 +173,11 @@ def cmd_initial(args) -> int:
     return EXIT_OK
 
 
-def _betti_table(args, graph, order):
-    if args.method == "formula":
-        if graph.family is None:
-            raise DomainError("--method formula needs a family graph (--grd or --k2d)")
-        if graph.family.kind == "grd":
-            return betti_formula_grd(graph.family.r, graph.family.d)
-        return betti_formula_k2d(graph.family.d)
-    gb = _primitive_basis(graph, order, args.budget)
-    ideal = initial_ideal(gb, order)
-    if args.method == "quotients":
+def _betti_table(method, graph, order, budget):
+    if method == "formula":
+        return _closed_forms(graph).betti
+    ideal = initial_ideal(_primitive_basis(graph, order, budget), order)
+    if method == "quotients":
         ordered = sort_ascending(ideal.min_gens, order)
         profile = quotient_profile(ordered)
         return betti_from_linear_quotients(ordered, profile)
@@ -186,9 +187,13 @@ def _betti_table(args, graph, order):
 def cmd_betti(args) -> int:
     graph = _load_graph(args)
     order = _order_for(graph, args)
-    table = _betti_table(args, graph, order)
-    payload = {"method": args.method, "betti": table.to_triples()}
-    _emit(args, payload, table.to_grid())
+    table = _betti_table(args.method, graph, order, args.budget)
+    ideal = "I_G" if args.method == "formula" else "in(I_G)"
+    header = f"graded Betti numbers of {ideal}"
+    if ideal == "in(I_G)" and graph.family is None:
+        header += " (an entrywise upper bound for those of I_G)"
+    payload = {"method": args.method, "ideal": ideal, "betti": table.to_triples()}
+    _emit(args, payload, f"{header}\n{table.to_grid()}")
     return EXIT_OK
 
 
@@ -203,21 +208,10 @@ def cmd_hilbert(args) -> int:
         _emit(args, payload, " ".join(str(x) for x in dims))
         return EXIT_OK
     if args.method == "formula":
-        if graph.family is None:
-            raise DomainError("--method formula needs a family graph (--grd or --k2d)")
-        if graph.family.kind == "grd":
-            series = hilbert_formula_grd(graph.family.r, graph.family.d)
-        else:
-            series = hilbert_from_betti(betti_formula_k2d(graph.family.d), q)
-    else:  # betti
-        if graph.family is not None and graph.family.kind == "grd":
-            table = betti_formula_grd(graph.family.r, graph.family.d)
-        elif graph.family is not None:
-            table = betti_formula_k2d(graph.family.d)
-        else:
-            gb = _primitive_basis(graph, order, args.budget)
-            table = betti_taylor_oracle(initial_ideal(gb, order))
-        series = hilbert_from_betti(table, q)
+        series = _closed_forms(graph).hilbert
+    else:  # betti: the closed-form table of a family graph, else in(I_G)'s by Taylor
+        method = "formula" if graph.family is not None else "oracle"
+        series = hilbert_from_betti(_betti_table(method, graph, order, args.budget), q)
     hv = hvector_extract(series)
     payload = {
         "method": args.method,
@@ -263,8 +257,9 @@ class _Report:
         try:
             expected, actual = fn()
             status = "pass" if expected == actual else "fail"
-        except (DomainError, ConsistencyError) as exc:
-            expected, actual, status = "no error", f"{type(exc).__name__}: {exc}", "fail"
+        except (DomainError, ConsistencyError, BudgetError) as exc:
+            expected, actual = "no error", f"{type(exc).__name__}: {exc}"
+            status = "budget" if isinstance(exc, BudgetError) else "fail"
         elapsed = time.perf_counter() - t0
         self.checks.append(
             {"name": name, "status": status, "expected": str(expected),
@@ -272,15 +267,16 @@ class _Report:
         )
 
     @property
-    def passed(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
+    def status(self) -> str:
+        statuses = {c["status"] for c in self.checks}
+        return next((s for s in ("fail", "budget") if s in statuses), "pass")
 
     def to_json(self) -> dict:
         # Timings are nondeterministic, so JSON mode omits them; the text
         # report carries them instead.
         return {
             "graph": self.graph_spec,
-            "status": "pass" if self.passed else "fail",
+            "status": self.status,
             "notes": self.notes,
             "checks": [
                 {k: c[k] for k in ("name", "status", "expected", "actual")}
@@ -291,63 +287,26 @@ class _Report:
     def to_text(self) -> str:
         lines = [f"verify {self.graph_spec}"]
         for c in self.checks:
-            mark = "PASS" if c["status"] == "pass" else "FAIL"
-            lines.append(f"  {mark} {c['name']} ({c['elapsed_s']:.3f}s)")
+            lines.append(f"  {c['status'].upper()} {c['name']} ({c['elapsed_s']:.3f}s)")
             if c["status"] != "pass":
                 lines.append(f"       expected: {c['expected']}")
                 lines.append(f"       actual:   {c['actual']}")
         for note in self.notes:
             lines.append(f"  note: {note}")
-        lines.append("overall: " + ("pass" if self.passed else "fail"))
+        lines.append(f"overall: {self.status}")
         return "\n".join(lines)
 
 
-def _family_initial_gens(graph, order) -> list[Monomial]:
-    """The closed-form minimal generators F_d (+ H_{r,d} for the path family)."""
-    fam = graph.family
-    d = fam.d
-    idx = graph.edge_index
-    nvars = len(graph.edges)
-    gens = []
-    for i in range(1, d + 1):
-        for j in range(1, i):
-            gens.append(Monomial.from_variables(nvars, [idx[f"a{i}"], idx[f"b{j}"]]))
-    if fam.kind == "grd":
-        evens = [idx[f"e{k}"] for k in range(2, 2 * fam.r - 1, 2)]
-        for i in range(1, d + 1):
-            gens.append(Monomial.from_variables(nvars, [idx[f"a{i}"]] + evens))
-    return gens
-
-
-def _expected_n_sequence(d: int, with_path_strand: bool) -> list[int]:
-    seq = []
-    for k in range(d - 1):
-        seq.extend([k] * (k + 1))
-    if with_path_strand:
-        seq.extend([d - 1] * d)
-    return seq
-
-
-def _strand_dict(table, k):
-    return table.strand(k)
-
-
-def verify_family(r: int | None, d: int, budget: int) -> _Report:
-    is_grd = r is not None
-    if is_grd:
-        graph = build_grd(r, d)
-        spec = f"G(r={r},d={d})"
-    else:
-        graph = build_k2d(d)
-        spec = f"K(2,{d})"
-    report = _Report(spec)
+def verify_family(graph: SimpleGraph, budget: int) -> _Report:
+    """Check each closed form of a family graph against code that does not use it."""
+    fam = family_invariants(graph.family)
+    report = _Report(fam.label)
     order = default_order(graph)
     q = len(graph.edges)
-    max_len = default_max_len(graph)
     closed_walks = family_primitive_walks(graph)
 
     def check_walks():
-        found = enumerate_primitive_walks(graph, max_len, node_budget=budget)
+        found = enumerate_primitive_walks(graph, node_budget=budget)
         expected = sorted(w.canonical_form() for w in closed_walks)
         actual = sorted(w.canonical_form() for w in found)
         return expected, actual
@@ -366,10 +325,10 @@ def verify_family(r: int | None, d: int, budget: int) -> _Report:
     report.run("groebner-basis", check_gb)
 
     ideal = initial_ideal(gb, order)
-    closed_gens = _family_initial_gens(graph, order)
 
     def check_initial():
-        return sorted(m.exps for m in closed_gens), sorted(m.exps for m in ideal.min_gens)
+        expected = sorted(m.exps for m in family_initial_generators(graph))
+        return expected, sorted(m.exps for m in ideal.min_gens)
 
     report.run("initial-ideal", check_initial)
 
@@ -377,21 +336,18 @@ def verify_family(r: int | None, d: int, budget: int) -> _Report:
     profile = quotient_profile(ordered)
 
     def check_quotients():
-        expected = (True, _expected_n_sequence(d, with_path_strand=is_grd))
-        return expected, (profile.linear, profile.n)
+        return (True, list(fam.n_sequence)), (profile.linear, profile.n)
 
     report.run("linear-quotients", check_quotients)
 
-    formula = betti_formula_grd(r, d) if is_grd else betti_formula_k2d(d)
-
     def check_betti_quotients():
-        return formula.entries, betti_from_linear_quotients(ordered, profile).entries
+        return fam.betti.entries, betti_from_linear_quotients(ordered, profile).entries
 
     report.run("betti-linear-quotients", check_betti_quotients)
 
     if len(ideal) <= 18:
         def check_betti_taylor():
-            return formula.entries, betti_taylor_oracle(ideal).entries
+            return fam.betti.entries, betti_taylor_oracle(ideal).entries
 
         report.run("betti-taylor-oracle", check_betti_taylor)
     else:
@@ -410,27 +366,12 @@ def verify_family(r: int | None, d: int, budget: int) -> _Report:
 
     report.run("toric-generator-degrees", check_toric_generators)
 
-    if is_grd:
-        def check_linear_strand():
-            return _strand_dict(betti_formula_k2d(d), 2), _strand_dict(formula, 2)
+    series = hilbert_from_betti(fam.betti, q)
 
-        report.run("linear-strand-bipartite", check_linear_strand)
+    def check_hilbert_formula():
+        return (fam.hilbert.numerator, fam.hilbert.denom_power), (series.numerator, series.denom_power)
 
-    def check_transfer():
-        matched = {2} if is_grd else set()
-        cert = strand_transfer(formula, matched, hs_equal=True)
-        return formula.entries, cert.table.entries
-
-    report.run("strand-transfer", check_transfer)
-
-    series = hilbert_from_betti(formula, q)
-
-    if is_grd:
-        def check_hilbert_formula():
-            expected = hilbert_formula_grd(r, d)
-            return (expected.numerator, expected.denom_power), (series.numerator, series.denom_power)
-
-        report.run("hilbert-from-betti", check_hilbert_formula)
+    report.run("hilbert-from-betti", check_hilbert_formula)
 
     def check_hilbert_enumeration():
         return series.expand(4), hilbert_enumeration_oracle(graph, 4)
@@ -438,12 +379,9 @@ def verify_family(r: int | None, d: int, budget: int) -> _Report:
     report.run("hilbert-enumeration", check_hilbert_enumeration)
 
     def check_summary():
-        summary = reg_pdim(formula)
+        summary = reg_pdim(fam.betti)
         dim = krull_dim(graph)
-        expected_reg = r if is_grd else 2
-        expected_pdim = d - 1 if is_grd else d - 2
-        expected_dim = d + 2 * r - 2 if is_grd else d + 1
-        expected = (expected_reg, expected_pdim, expected_dim, True)
+        expected = (fam.reg, fam.pdim, fam.dim, True)
         actual = (summary.reg, summary.pdim, dim, q - (summary.pdim + 1) == dim)
         return expected, actual
 
@@ -451,8 +389,7 @@ def verify_family(r: int | None, d: int, budget: int) -> _Report:
 
     def check_hvector():
         hv = hvector_extract(series)
-        expected = ((1,) + (d,) * (r - 1), True) if is_grd else ((1, d - 1), True)
-        return expected, (hv.h, hv.unimodal)
+        return (fam.hilbert.numerator, True), (hv.h, hv.unimodal)
 
     report.run("h-vector", check_hvector)
 
@@ -460,17 +397,15 @@ def verify_family(r: int | None, d: int, budget: int) -> _Report:
 
 
 def cmd_verify(args) -> int:
-    if args.graph is not None:
+    graph = _load_graph(args)
+    if graph.family is None:
         raise DomainError("verify works on family graphs; pass --grd R D or --k2d D")
-    if args.grd is not None:
-        report = verify_family(args.grd[0], args.grd[1], args.budget)
-    else:
-        report = verify_family(None, args.k2d, args.budget)
+    report = verify_family(graph, args.budget)
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(report.to_text())
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return {"pass": EXIT_OK, "fail": EXIT_VERIFY, "budget": EXIT_BUDGET}[report.status]
 
 
 # ---------------------------------------------------------------------------

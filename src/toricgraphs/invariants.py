@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import BudgetError, ConsistencyError, DomainError
-from .graphs import SimpleGraph
+from .graphs import FamilyTag, SimpleGraph
 from .linalg import rational_rank
 from .quotients import BettiTable
 
@@ -33,9 +33,6 @@ class HilbertSeries:
         if not trimmed:
             raise DomainError("numerator must be nonzero")
         object.__setattr__(self, "numerator", tuple(trimmed))
-
-    def is_lowest_terms(self) -> bool:
-        return sum(self.numerator) != 0 or self.denom_power == 0
 
     def lowest_terms(self) -> HilbertSeries:
         num = list(self.numerator)
@@ -92,17 +89,6 @@ class HVector:
 class HomologicalSummary:
     reg: int
     pdim: int
-    krull_dim: int | None = None
-
-
-@dataclass(frozen=True)
-class CertifiedBetti:
-    """A Betti table together with the audit trail that certified it."""
-
-    table: BettiTable
-    matched_strands: frozenset[int]
-    inferred_strand: int | None
-    audit: tuple[str, ...]
 
 
 def _trim(coeffs) -> list[int]:
@@ -147,48 +133,47 @@ def betti_formula_k2d(d: int) -> BettiTable:
     return table
 
 
-def strand_transfer(
-    betti_in: BettiTable, matched_strands, hs_equal: bool
-) -> CertifiedBetti:
-    """Certify the initial ideal's Betti table as the toric ideal's own table.
-
-    Requires every strand but at most one to be matched independently, plus
-    Hilbert-series equality; the remaining strand is then forced degree by
-    degree because initial-ideal Betti numbers bound the ideal's entrywise and
-    both tables produce the same alternating sums.
-    """
-    matched = frozenset(matched_strands)
-    if not hs_equal:
-        raise DomainError("strand transfer requires certified Hilbert-series equality")
-    unmatched = sorted(betti_in.strands() - matched)
-    if len(unmatched) >= 2:
-        raise DomainError(
-            f"strand transfer needs at most one unmatched strand, found {unmatched}"
-        )
-    audit = ["initial-ideal Betti numbers bound the ideal's entrywise from above"]
-    if matched:
-        audit.append(f"strands {sorted(matched)} matched independently")
-    if unmatched:
-        audit.append(
-            f"Hilbert-series equality forces equality on the remaining strand {unmatched[0]}"
-        )
-        inferred = unmatched[0]
-    else:
-        audit.append("no unmatched strand; table passes through unchanged")
-        inferred = None
-    return CertifiedBetti(
-        table=betti_in,
-        matched_strands=matched,
-        inferred_strand=inferred,
-        audit=tuple(audit),
-    )
-
-
 def hilbert_formula_grd(r: int, d: int) -> HilbertSeries:
     """(1 + d*t + ... + d*t^{r-1}) / (1-t)^{d+2r-2}, already in lowest terms."""
     if r < 3 or d < 2:
         raise DomainError(f"family requires r >= 3 and d >= 2, got r={r}, d={d}")
     return HilbertSeries((1,) + (d,) * (r - 1), d + 2 * r - 2)
+
+
+@dataclass(frozen=True)
+class FamilyInvariants:
+    """The paper's closed forms for one family member, stored as data.
+
+    The Hilbert series is in lowest terms, so its numerator is the h-vector;
+    n_sequence is the colon-ideal sizes of in(I_G) in ascending grevlex order;
+    bound_name names the proven primitive-walk length bound.
+    """
+
+    label: str
+    betti: BettiTable
+    hilbert: HilbertSeries
+    n_sequence: tuple[int, ...]
+    reg: int
+    pdim: int
+    dim: int
+    bound_name: str
+
+
+def family_invariants(family: FamilyTag) -> FamilyInvariants:
+    """Closed forms of G(r,d), or of K_{2,d} when family.r is None."""
+    r, d = family.r, family.d
+    quadric_n = tuple(k for k in range(d - 1) for _ in range(k + 1))
+    if r is None:
+        return FamilyInvariants(
+            label=f"K(2,{d})", betti=betti_formula_k2d(d),
+            hilbert=HilbertSeries((1, d - 1), d + 1), n_sequence=quadric_n,
+            reg=2, pdim=d - 2, dim=d + 1, bound_name="K_{2,d} bound",
+        )
+    return FamilyInvariants(
+        label=f"G(r={r},d={d})", betti=betti_formula_grd(r, d),
+        hilbert=hilbert_formula_grd(r, d), n_sequence=quadric_n + (d - 1,) * d,
+        reg=r, pdim=d - 1, dim=d + 2 * r - 2, bound_name="G(r,d) bound 2r =",
+    )
 
 
 def quotient_numerator_from_betti(betti: BettiTable) -> list[int]:

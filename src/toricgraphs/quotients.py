@@ -18,7 +18,6 @@ class OrderedGenerators:
     """A minimal monomial generating set in a fixed processing order."""
 
     gens: list[Monomial]
-    source_order: GrevlexOrder | None = None
 
     def __post_init__(self):
         for i, g in enumerate(self.gens):
@@ -119,7 +118,7 @@ class BettiTable:
 
 def sort_ascending(gens, order: GrevlexOrder) -> OrderedGenerators:
     """Sort a minimal generating set from least to greatest under the order."""
-    return OrderedGenerators(sorted(gens, key=order.key), source_order=order)
+    return OrderedGenerators(sorted(gens, key=order.key))
 
 
 def colon_with_monomial(prior, m: Monomial) -> MonomialIdeal:

@@ -187,11 +187,31 @@ def family_primitive_walks(graph: SimpleGraph) -> list[ClosedEvenWalk]:
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
             walks.append(ClosedEvenWalk(graph, (f"a{i}", f"b{i}", f"b{j}", f"a{j}"), start="x1"))
-    if fam.kind == "grd":
+    if fam.r is not None:
         path = tuple(f"e{k}" for k in range(1, 2 * fam.r - 1))
         for i in range(1, d + 1):
             walks.append(ClosedEvenWalk(graph, (f"a{i}",) + path + (f"b{i}",), start=f"y{i}"))
     return walks
+
+
+def family_initial_generators(graph: SimpleGraph) -> list[Monomial]:
+    """Closed-form minimal generators of in(I_G) for a tagged family graph.
+
+    The quadrics a_i*b_j for j < i; for the path family also
+    a_i*e2*e4*...*e_{2r-2} for each i, in that order.
+    """
+    fam = graph.family
+    if fam is None:
+        raise DomainError("closed-form generators exist only for family graphs")
+    idx = graph.edge_index
+    nvars = len(graph.edges)
+    gens = [Monomial.from_variables(nvars, [idx[f"a{i}"], idx[f"b{j}"]])
+            for i in range(1, fam.d + 1) for j in range(1, i)]
+    if fam.r is not None:
+        evens = [idx[f"e{k}"] for k in range(2, 2 * fam.r - 1, 2)]
+        gens += [Monomial.from_variables(nvars, [idx[f"a{i}"]] + evens)
+                 for i in range(1, fam.d + 1)]
+    return gens
 
 
 def grd_primitive_walks(r: int, d: int) -> list[ClosedEvenWalk]:
@@ -202,9 +222,7 @@ def grd_primitive_walks(r: int, d: int) -> list[ClosedEvenWalk]:
 def default_max_len(graph: SimpleGraph) -> int:
     """Primitive-walk length cap: the proven family bounds, or 2|E| in general."""
     if graph.family is not None:
-        if graph.family.kind == "grd":
-            return 2 * graph.family.r
-        return 4
+        return 4 if graph.family.r is None else 2 * graph.family.r
     return max(4, 2 * len(graph.edges))
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricgraphs import build_grd, parse_graph, serialize_graph
+from toricgraphs import betti_formula_k2d, build_grd, hilbert_from_betti, parse_graph, serialize_graph
 from toricgraphs.walks import ClosedEvenWalk, family_primitive_walks
 from toricgraphs.cli import run
 
@@ -144,6 +144,29 @@ def test_betti_grid_output(capsys):
     assert "2:" in out and "3:" in out
 
 
+@pytest.mark.parametrize("method,ideal", [("formula", "I_G"), ("quotients", "in(I_G)"),
+                                          ("oracle", "in(I_G)")])
+def test_betti_names_its_ideal_on_family_graph(capsys, method, ideal):
+    code, out, _ = invoke(capsys, "betti", "--k2d", "3", "--method", method, "--json")
+    assert code == 0
+    assert json.loads(out)["ideal"] == ideal
+    code, out, _ = invoke(capsys, "betti", "--k2d", "3", "--method", method)
+    assert code == 0
+    assert out.splitlines()[0] == f"graded Betti numbers of {ideal}"
+
+
+def test_betti_initial_table_marked_upper_bound_on_graph_file(capsys, tmp_path):
+    f = tmp_path / "g.json"
+    f.write_text(serialize_graph(build_grd(3, 2)))
+    code, out, _ = invoke(capsys, "betti", "--graph", str(f), "--method", "oracle")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "graded Betti numbers of in(I_G) (an entrywise upper bound for those of I_G)")
+    code, out, _ = invoke(capsys, "betti", "--graph", str(f), "--method", "oracle", "--json")
+    assert code == 0
+    assert json.loads(out)["ideal"] == "in(I_G)"
+
+
 def test_betti_formula_needs_family(capsys, tmp_path):
     f = tmp_path / "g.json"
     f.write_text(serialize_graph(build_grd(3, 2)))
@@ -191,11 +214,15 @@ def test_hilbert_betti_method_matches_formula(capsys):
 
 
 def test_hilbert_k2d_formula(capsys):
-    code, out, _ = invoke(capsys, "hilbert", "--k2d", "3", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["numerator"] == [1, 2]
-    assert doc["denominator_power"] == 4
+    for d in range(2, 7):
+        code, out, _ = invoke(capsys, "hilbert", "--k2d", str(d), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["numerator"] == [1, d - 1]
+        assert doc["denominator_power"] == d + 1
+        from_betti = hilbert_from_betti(betti_formula_k2d(d), 2 * d)
+        assert (tuple(doc["numerator"]), doc["denominator_power"]) == (
+            from_betti.numerator, from_betti.denom_power)
 
 
 def test_bounds(capsys):
@@ -233,10 +260,41 @@ def test_verify_passes_g35(capsys):
     assert "overall: pass" in out
     for name in ("primitive-walks", "groebner-basis", "initial-ideal",
                  "linear-quotients", "betti-linear-quotients", "betti-taylor-oracle",
-                 "toric-generator-degrees", "linear-strand-bipartite",
-                 "strand-transfer", "hilbert-from-betti", "hilbert-enumeration",
+                 "toric-generator-degrees", "hilbert-from-betti", "hilbert-enumeration",
                  "homological-summary", "h-vector"):
         assert name in out
+
+
+VERIFY_CHECKS = [
+    "primitive-walks", "groebner-basis", "initial-ideal", "linear-quotients",
+    "betti-linear-quotients", "betti-taylor-oracle", "toric-generator-degrees",
+    "hilbert-from-betti", "hilbert-enumeration", "homological-summary", "h-vector",
+]
+
+
+@pytest.mark.parametrize("graph", [["--k2d", "2"], ["--k2d", "3"], ["--grd", "3", "2"],
+                                   ["--grd", "4", "2"]], ids=["K22", "K23", "G32", "G42"])
+def test_verify_runs_every_check(capsys, graph):
+    code, out, _ = invoke(capsys, "verify", *graph, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert [c["name"] for c in doc["checks"]] == VERIFY_CHECKS
+    assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_verify_reports_budget_and_runs_the_other_checks(capsys):
+    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "budget"
+    statuses = {c["name"]: c["status"] for c in doc["checks"]}
+    assert statuses.pop("primitive-walks") == "budget"
+    assert sorted(statuses) == sorted(VERIFY_CHECKS[1:])
+    assert set(statuses.values()) == {"pass"}
+    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10")
+    assert code == 3
+    assert "BUDGET primitive-walks" in out and out.rstrip().endswith("overall: budget")
 
 
 def test_verify_json_schema(capsys):

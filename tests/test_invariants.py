@@ -21,7 +21,6 @@ from toricgraphs import (
     minimal_generators_oracle,
     parse_graph,
     reg_pdim,
-    strand_transfer,
 )
 from toricgraphs.invariants import quotient_numerator_from_betti
 
@@ -82,36 +81,6 @@ def test_betti_k2d_values():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_k2d_strand_equals_family_linear_strand(r, d):
     assert betti_formula_k2d(d).strand(2) == betti_formula_grd(r, d).strand(2)
-
-
-# ---------------------------------------------------------------------------
-# strand transfer certification
-
-
-def test_strand_transfer_certifies_family_table():
-    table = betti_formula_grd(3, 5)
-    cert = strand_transfer(table, {2}, hs_equal=True)
-    assert cert.table == table
-    assert cert.inferred_strand == 3
-    assert any("Hilbert" in line for line in cert.audit)
-
-
-def test_strand_transfer_rejects_two_unmatched():
-    table = BettiTable({(0, 2): 1, (0, 3): 1})
-    with pytest.raises(DomainError, match="unmatched"):
-        strand_transfer(table, set(), hs_equal=True)
-
-
-def test_strand_transfer_requires_hilbert_equality():
-    with pytest.raises(DomainError, match="Hilbert"):
-        strand_transfer(betti_formula_grd(3, 2), {2}, hs_equal=False)
-
-
-def test_strand_transfer_fully_matched_passthrough():
-    table = betti_formula_k2d(4)
-    cert = strand_transfer(table, {2}, hs_equal=True)
-    assert cert.table == table
-    assert cert.inferred_strand is None
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_profile_closed_form(r, d):
 
 def test_profile_disjoint_supports_not_linear():
     order = GrevlexOrder(["x", "y", "z", "w"])
-    ordered = OrderedGenerators([mono(order, "x*y"), mono(order, "z*w")], order)
+    ordered = OrderedGenerators([mono(order, "x*y"), mono(order, "z*w")])
     profile = quotient_profile(ordered)
     assert not profile.linear
     assert profile.n == [0, 1]
@@ -160,14 +160,14 @@ def test_betti_g35():
 
 def test_betti_single_generator():
     order = GrevlexOrder(["x", "y", "z"])
-    ordered = OrderedGenerators([mono(order, "x*y*z")], order)
+    ordered = OrderedGenerators([mono(order, "x*y*z")])
     table = betti_from_linear_quotients(ordered, quotient_profile(ordered))
     assert table.entries == {(0, 3): 1}
 
 
 def test_betti_rejects_nonlinear_profile():
     order = GrevlexOrder(["x", "y", "z", "w"])
-    ordered = OrderedGenerators([mono(order, "x*y"), mono(order, "z*w")], order)
+    ordered = OrderedGenerators([mono(order, "x*y"), mono(order, "z*w")])
     with pytest.raises(DomainError):
         betti_from_linear_quotients(ordered, quotient_profile(ordered))
 
