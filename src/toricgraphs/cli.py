@@ -387,12 +387,6 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
 
     report.run("homological-summary", check_summary)
 
-    def check_hvector():
-        hv = hvector_extract(series)
-        return (fam.hilbert.numerator, True), (hv.h, hv.unimodal)
-
-    report.run("h-vector", check_hvector)
-
     return report
 
 
@@ -422,7 +416,8 @@ def _build_parser() -> _Parser:
             _add_graph_args(sub)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                         help="search-node budget for walk enumeration")
+                         help="search-node budget for walk enumeration; gb, initial, betti "
+                              "and hilbert also cap Buchberger at max(1000, BUDGET // 100) S-pairs")
 
     s = subs.add_parser("gen", help="construct a graph and print it")
     _add_graph_args(s)

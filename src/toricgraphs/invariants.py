@@ -201,6 +201,14 @@ def hilbert_from_betti(betti: BettiTable, num_vars: int) -> HilbertSeries:
     return HilbertSeries(tuple(coeffs), num_vars).lowest_terms()
 
 
+def _check_enumeration_budget(q: int, max_deg: int, budget: int) -> None:
+    """Refuse, before enumerating anything, if some degree <= max_deg has too many monomials."""
+    for deg in range(1, max_deg + 1):
+        if comb(q + deg - 1, deg) > budget:
+            raise BudgetError(f"degree {deg} needs {comb(q + deg - 1, deg)} monomials, "
+                              f"over the budget {budget}")
+
+
 def hilbert_enumeration_oracle(
     graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[int]:
@@ -213,12 +221,9 @@ def hilbert_enumeration_oracle(
     q = len(graph.edges)
     images = [graph.edge_vertex_exponents(i) for i in range(q)]
     nv = len(graph.vertices)
+    _check_enumeration_budget(q, max_deg, budget)
     dims = [1]
     for deg in range(1, max_deg + 1):
-        if comb(q + deg - 1, deg) > budget:
-            raise BudgetError(
-                f"degree {deg} needs {comb(q + deg - 1, deg)} monomials, over the budget {budget}"
-            )
         seen = set()
         for combo in combinations_with_replacement(range(q), deg):
             acc = [0] * nv
@@ -273,11 +278,8 @@ def minimal_generators_oracle(
     nv = len(graph.vertices)
     out: dict[int, int] = {}
     prev_classes: list[list[tuple[int, ...]]] = []
+    _check_enumeration_budget(q, max_deg, budget)
     for deg in range(1, max_deg + 1):
-        if comb(q + deg - 1, deg) > budget:
-            raise BudgetError(
-                f"degree {deg} needs {comb(q + deg - 1, deg)} monomials, over the budget {budget}"
-            )
         classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         count = 0
         for combo in combinations_with_replacement(range(q), deg):

@@ -91,11 +91,11 @@ def is_minimal(walk: ClosedEvenWalk) -> bool:
 
 
 def is_primitive(walk: ClosedEvenWalk, candidates) -> bool:
-    """Divisibility test against a complete universe of walk binomials.
+    """Divisibility test against a universe of walk binomials.
 
-    `candidates` must contain the binomials of all closed even walks of the
-    graph up to this walk's length (minimal walks suffice: every non-primitive
-    walk admits a primitive witness, and primitive walks are minimal).
+    `candidates` must contain the binomial of every primitive walk of the
+    graph up to this walk's length (a non-primitive binomial has a primitive
+    side-by-side divisor of no greater degree); others may be present.
     """
     if not is_minimal(walk):
         return False
@@ -115,12 +115,17 @@ def is_primitive(walk: ClosedEvenWalk, candidates) -> bool:
 def minimal_closed_even_walks(
     graph: SimpleGraph, max_len: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[ClosedEvenWalk]:
-    """All minimal closed even walks of length <= max_len, one per class.
+    """Minimal closed even walks of length <= max_len, one per class, that
+    revisit no vertex at even distance.
 
-    Depth-first search over edge sequences.  The first edge of a sequence is
-    constrained to carry the minimum edge position used anywhere in the walk,
-    which rules out most rotated duplicates cheaply; remaining duplicates are
-    removed through the canonical form.
+    Such a revisit splits a walk into two closed even walks, so the walk is
+    not primitive (see decomposes_at_basepoint); the result still holds every
+    primitive walk up to max_len, which is all is_primitive needs.  On a
+    bipartite graph it is exactly the even cycles.  The depth-first search
+    cuts a branch at such a revisit; the step back to the start at even
+    length records the walk.  The first edge carries the minimum edge
+    position used anywhere in the walk, which rules out most rotated
+    duplicates cheaply; the canonical form removes the rest.
     """
     if max_len < 4 or max_len % 2 != 0:
         raise DomainError("max_len must be an even integer >= 4")
@@ -128,6 +133,7 @@ def minimal_closed_even_walks(
     found: dict[tuple[str, ...], ClosedEvenWalk] = {}
     nodes = 0
     edge_names = graph.edge_names
+    parity = dict.fromkeys(graph.vertices, 0)  # bit 1: on the path at an even step, 2: odd
 
     def extend(first_pos, start, cur, seq):
         nonlocal nodes
@@ -139,17 +145,23 @@ def minimal_closed_even_walks(
                 raise BudgetError(f"walk search exceeded the node budget of {node_budget}")
             seq.append(pos)
             n = len(seq)
-            if nxt == start and n % 2 == 0 and n >= 4 and seq[-1] != seq[0]:
+            bit = 1 << (n % 2)
+            if not parity[nxt] & bit:
+                if n < max_len:
+                    parity[nxt] |= bit
+                    extend(first_pos, start, nxt, seq)
+                    parity[nxt] ^= bit
+            elif nxt == start and n % 2 == 0:
                 names = tuple(edge_names[p] for p in seq)
                 walk = ClosedEvenWalk(graph, names, start=start)
                 found.setdefault(walk.canonical_form(), walk)
-            if n < max_len:
-                extend(first_pos, start, nxt, seq)
             seq.pop()
 
     for first_pos, edge in enumerate(graph.edges):
-        for start in edge.ends:
-            extend(first_pos, start, edge.other(start), [first_pos])
+        for start, cur in (edge.ends, edge.ends[::-1]):
+            parity[start], parity[cur] = 1, 2
+            extend(first_pos, start, cur, [first_pos])
+            parity[start] = parity[cur] = 0
 
     walks = [found[k] for k in sorted(found, key=lambda c: (len(c), c))]
     return [ClosedEvenWalk(graph, w.canonical_form()) for w in walks]

@@ -181,6 +181,17 @@ def test_enumeration_budget():
         hilbert_enumeration_oracle(build_grd(3, 5), 6, budget=100)
 
 
+@pytest.mark.parametrize("oracle", [hilbert_enumeration_oracle, minimal_generators_oracle])
+def test_enumeration_budget_checked_before_enumerating(monkeypatch, oracle):
+    # G(3,3) has 10 edges: degrees 1 and 2 fit in the budget, degree 3 (220) does not.
+    def refuse(*args):
+        raise AssertionError("enumerated before checking the budget")
+
+    monkeypatch.setattr("toricgraphs.invariants.combinations_with_replacement", refuse)
+    with pytest.raises(BudgetError, match=r"^degree 3 needs 220 monomials, over the budget 100$"):
+        oracle(build_grd(3, 3), 4, budget=100)
+
+
 def test_minimal_generators_g35():
     assert minimal_generators_oracle(build_grd(3, 5), 3) == {2: 10, 3: 5}
 

@@ -1,3 +1,7 @@
+import json
+from collections import defaultdict
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from toricgraphs import (
@@ -22,15 +26,11 @@ def path_graph(n):
         "vertices": [f"u{i}" for i in range(n)],
         "edges": [{"name": f"f{i}", "ends": [f"u{i}", f"u{i+1}"]} for i in range(n - 1)],
     }
-    import json
-
     return parse_graph(json.dumps(doc))
 
 
 def bowtie_graph():
     # two triangles sharing the vertex c
-    import json
-
     doc = {
         "vertices": ["c", "A", "B", "D", "E"],
         "edges": [
@@ -43,6 +43,16 @@ def bowtie_graph():
         ],
     }
     return parse_graph(json.dumps(doc))
+
+
+def graph_from_pairs(pairs):
+    vertices = sorted({str(v) for pair in pairs for v in pair})
+    edges = [{"name": f"g{k}", "ends": [str(u), str(v)]} for k, (u, v) in enumerate(pairs)]
+    return parse_graph(json.dumps({"vertices": vertices, "edges": edges}))
+
+
+def k33_graph():
+    return graph_from_pairs([(f"x{i}", f"y{j}") for i in range(3) for j in range(3)])
 
 
 def vertex_image(graph, monomial):
@@ -264,3 +274,76 @@ def test_walk_search_budget():
 def test_max_len_validation():
     with pytest.raises(DomainError):
         minimal_closed_even_walks(build_k2d(2), 3)
+
+
+# ---------------------------------------------------------------------------
+# the pruned search: revisits at even distance are cut
+
+
+def test_k33_walks_are_the_even_cycles():
+    g = k33_graph()
+    walks = minimal_closed_even_walks(g, 2 * len(g.edges))
+    assert sorted(w.length for w in walks) == [4] * 9 + [6] * 6
+    candidates = [walk_to_binomial(w) for w in walks]
+    for w in walks:
+        assert len(set(w.vertices[:-1])) == w.length  # a cycle: no vertex repeats
+        assert is_primitive(w, candidates)
+
+
+@pytest.mark.parametrize("graph", [bowtie_graph(), build_grd(3, 3), k33_graph()],
+                         ids=["bowtie", "G33", "K33"])
+def test_search_output_never_decomposes(graph):
+    walks = minimal_closed_even_walks(graph, 2 * len(graph.edges))
+    assert walks
+    assert not any(decomposes_at_basepoint(w) for w in walks)
+
+
+def brute_force_primitive_binomials(graph):
+    """Primitive binomials of I_G without walks, each as a frozenset {lhs, rhs}.
+
+    Candidates are the pairs of edge monomials of degree <= |E| with equal
+    vertex images and disjoint supports; every primitive binomial has degree
+    <= |E|.  A pair is kept when no other pair divides it side by side in
+    either orientation.  Divisibility is transitive and equal images force
+    equal degrees, so testing the kept pairs of lower degree is enough.
+    """
+    q = len(graph.edges)
+    images = [graph.edge_vertex_exponents(i) for i in range(q)]
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    kept = []
+    for deg in range(1, q + 1):
+        by_image = defaultdict(list)
+        for combo in combinations_with_replacement(range(q), deg):
+            mono = [0] * q
+            for e in combo:
+                mono[e] += 1
+            image = tuple(map(sum, zip(*(images[e] for e in combo))))
+            by_image[image].append(tuple(mono))
+        new = []
+        for monos in by_image.values():
+            for u, v in combinations(monos, 2):
+                if any(a and b for a, b in zip(u, v)):
+                    continue
+                if not any(divides(a, u) and divides(b, v) or divides(a, v) and divides(b, u)
+                           for a, b in kept):
+                    new.append((u, v))
+        kept += new
+    return {frozenset(pair) for pair in kept}
+
+
+def atlas_graphs(max_edges):
+    nx = pytest.importorskip("networkx")
+    return [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
+            if 0 < g.number_of_edges() <= max_edges and nx.is_connected(g)]
+
+
+def test_primitive_walks_match_brute_force_on_atlas():
+    graphs = atlas_graphs(7)
+    assert len(graphs) == 108
+    for g in graphs:
+        found = {frozenset((f.lhs.exps, f.rhs.exps))
+                 for f in map(walk_to_binomial, enumerate_primitive_walks(g))}
+        assert found == brute_force_primitive_binomials(g), g.edges
