@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import sys
 import time
@@ -251,8 +252,13 @@ class _Report:
         self.graph_spec = graph_spec
         self.checks = []
         self.notes = []
+        self.results = {}  # stage results that checks store under their own name
 
-    def run(self, name, fn):
+    def run(self, name, fn, needs=None):
+        """Run one check; skip it with a note if the check named `needs` stored no result."""
+        if needs is not None and needs not in self.results:
+            self.notes.append(f"{name} skipped: no result from {needs}")
+            return
         t0 = time.perf_counter()
         try:
             expected, actual = fn()
@@ -298,12 +304,18 @@ class _Report:
 
 
 def verify_family(graph: SimpleGraph, budget: int) -> _Report:
-    """Check each closed form of a family graph against code that does not use it."""
+    """Check each closed form of a family graph against code that does not use it.
+
+    The Buchberger, initial-ideal and quotient-profile stages run inside the
+    checks named after them, so each is charged to its check; a check whose
+    stage did not finish is skipped with a note.
+    """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
     order = default_order(graph)
     q = len(graph.edges)
     closed_walks = family_primitive_walks(graph)
+    done = report.results
 
     def check_walks():
         found = enumerate_primitive_walks(graph, node_budget=budget)
@@ -314,9 +326,9 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     report.run("primitive-walks", check_walks)
 
     gens = [walk_to_binomial(w) for w in closed_walks]
-    gb = buchberger(gens, order)
 
     def check_gb():
+        done["groebner-basis"] = gb = buchberger(gens, order)
         expected = sorted((order.key(f.lhs), order.key(f.rhs))
                           for f in (order.normalize(g) for g in gens))
         actual = sorted((order.key(f.lhs), order.key(f.rhs)) for f in gb)
@@ -324,42 +336,41 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
 
     report.run("groebner-basis", check_gb)
 
-    ideal = initial_ideal(gb, order)
-
     def check_initial():
+        done["initial-ideal"] = ideal = initial_ideal(done["groebner-basis"], order)
         expected = sorted(m.exps for m in family_initial_generators(graph))
         return expected, sorted(m.exps for m in ideal.min_gens)
 
-    report.run("initial-ideal", check_initial)
-
-    ordered = sort_ascending(ideal.min_gens, order)
-    profile = quotient_profile(ordered)
+    report.run("initial-ideal", check_initial, needs="groebner-basis")
 
     def check_quotients():
+        ordered = sort_ascending(done["initial-ideal"].min_gens, order)
+        profile = quotient_profile(ordered)
+        done["linear-quotients"] = ordered, profile
         return (True, list(fam.n_sequence)), (profile.linear, profile.n)
 
-    report.run("linear-quotients", check_quotients)
+    report.run("linear-quotients", check_quotients, needs="initial-ideal")
 
     def check_betti_quotients():
-        return fam.betti.entries, betti_from_linear_quotients(ordered, profile).entries
+        return fam.betti.entries, betti_from_linear_quotients(*done["linear-quotients"]).entries
 
-    report.run("betti-linear-quotients", check_betti_quotients)
+    report.run("betti-linear-quotients", check_betti_quotients, needs="linear-quotients")
 
-    if len(ideal) <= 18:
-        def check_betti_taylor():
-            return fam.betti.entries, betti_taylor_oracle(ideal).entries
-
-        report.run("betti-taylor-oracle", check_betti_taylor)
-    else:
+    ideal = done.get("initial-ideal")
+    if ideal is not None and len(ideal) > 18:
         report.notes.append(
             f"betti-taylor-oracle skipped: {len(ideal)} generators exceed the 2^18 subset cap"
         )
+    else:
+        def check_betti_taylor():
+            return fam.betti.entries, betti_taylor_oracle(done["initial-ideal"]).entries
+
+        report.run("betti-taylor-oracle", check_betti_taylor, needs="initial-ideal")
 
     def check_toric_generators():
-        top = max(m.degree for m in ideal.min_gens)
-        expected = {}
-        for m in ideal.min_gens:
-            expected[m.degree] = expected.get(m.degree, 0) + 1
+        # Row 0 of the closed-form table counts I_G's minimal generators by degree.
+        expected = {j: b for (i, j), b in fam.betti.items() if i == 0}
+        top = max(expected)
         for j in range(2, top + 1):
             expected.setdefault(j, 0)
         return expected, minimal_generators_oracle(graph, top)
@@ -405,7 +416,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and then reused."""
     parser = _Parser(prog="toricgraphs",
                      description="Toric ideals of graphs: Groebner bases, Betti numbers, "
                                  "Hilbert series, and cross-check oracles.")
@@ -467,9 +480,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

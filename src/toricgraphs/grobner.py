@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import le
 
 from .errors import BudgetError, DomainError
 from .graphs import SimpleGraph
@@ -19,14 +20,18 @@ from .graphs import SimpleGraph
 class Monomial:
     """Immutable dense exponent vector over a fixed variable universe."""
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "_support")
 
     def __init__(self, exps):
         self.exps = tuple(exps)
+        self._support = None
 
-    @classmethod
-    def one(cls, nvars: int) -> Monomial:
-        return cls((0,) * nvars)
+    @property
+    def support(self) -> int:
+        """Bitmask of the variables with a positive exponent, computed on first use."""
+        if self._support is None:
+            self._support = sum(1 << i for i, e in enumerate(self.exps) if e)
+        return self._support
 
     @classmethod
     def from_variables(cls, nvars: int, positions) -> Monomial:
@@ -47,7 +52,7 @@ class Monomial:
         return Monomial(a + b for a, b in zip(self.exps, other.exps))
 
     def divides(self, other: Monomial) -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return not self.support & ~other.support and all(map(le, self.exps, other.exps))
 
     def __truediv__(self, other: Monomial) -> Monomial:
         exps = tuple(a - b for a, b in zip(self.exps, other.exps))
@@ -59,7 +64,7 @@ class Monomial:
         return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
 
     def gcd_is_one(self, other: Monomial) -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
+        return not self.support & other.support
 
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exps)
@@ -208,13 +213,8 @@ class MonomialIdeal:
 
 def minimalize_monomials(gens) -> list[Monomial]:
     """Drop duplicates and any generator divisible by another."""
-    unique = []
-    for g in gens:
-        if g not in unique:
-            unique.append(g)
-    unique.sort(key=lambda m: (m.degree, m.exps))
     kept: list[Monomial] = []
-    for g in unique:
+    for g in sorted(set(gens), key=lambda m: (m.degree, m.exps)):
         if not any(h.divides(g) for h in kept):
             kept.append(g)
     return kept
@@ -240,30 +240,37 @@ def reduce(f: Binomial, basis, order: GrevlexOrder) -> Binomial | None:
 
     Deterministic: each step divides by the first basis element (in list
     order) whose leading term divides the monomial under reduction.  Both
-    monomials of the remainder are irreducible.
+    monomials of the remainder are irreducible.  A basis element is
+    normalized only when one of its sides divides that monomial; zero
+    binomials never divide.
     """
-    norm = [order.normalize(g) for g in basis]
-    norm = [g for g in norm if g is not None]
+
+    def divisor(m):
+        outside = ~m.support
+        for g in basis:
+            if g.lhs.support & outside and g.rhs.support & outside:
+                continue
+            if g.lhs.divides(m) or g.rhs.divides(m):
+                g = order.normalize(g)
+                if g is not None and g.lhs.divides(m):
+                    return g
+        return None
+
     cur = order.normalize(f)
     if cur is None:
         return None
     while True:
-        hit = None
-        for g in norm:
-            if g.lhs.divides(cur.lhs):
-                hit = (cur.lhs / g.lhs) * g.rhs
-                break
-        if hit is not None:
+        g = divisor(cur.lhs)
+        if g is not None:
+            hit = (cur.lhs / g.lhs) * g.rhs
             if hit == cur.rhs:
                 return None
             cur = order.normalize(Binomial(hit, cur.rhs))
             continue
-        for g in norm:
-            if g.lhs.divides(cur.rhs):
-                hit = (cur.rhs / g.lhs) * g.rhs
-                break
-        if hit is None:
+        g = divisor(cur.rhs)
+        if g is None:
             return cur
+        hit = (cur.rhs / g.lhs) * g.rhs
         if hit == cur.lhs:
             return None
         cur = order.normalize(Binomial(cur.lhs, hit))
@@ -273,9 +280,12 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
     """Reduced Groebner basis of the binomial ideal under the given order.
 
     Normal selection strategy (minimal lcm degree first) with the coprimality
-    and chain criteria.  Raises BudgetError if more than max_pairs S-pairs are
-    processed.  Output is interreduced, sign-normalized (leading monomial in
-    lhs), and sorted ascending by (degree, leading term, trailing term).
+    and chain criteria.  A pair with coprime leading terms is treated as
+    soon as it is formed: it never enters the queue, but it still counts
+    against max_pairs.  Raises BudgetError if more than max_pairs S-pairs are
+    formed coprime or processed.  Output is interreduced, sign-normalized
+    (leading monomial in lhs), and sorted ascending by (degree, leading term,
+    trailing term).
     """
     basis: list[Binomial] = []
     for f in generators:
@@ -285,33 +295,40 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
         if g is not None and not any(g.same_up_to_sign(h) for h in basis):
             basis.append(g)
 
-    def pair_entry(i, j):
-        big = basis[i].lhs.lcm(basis[j].lhs)
-        return (big.degree, order.key(big), i, j)
-
     queue: list[tuple] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            heapq.heappush(queue, pair_entry(i, j))
     treated: set[tuple[int, int]] = set()
     processed = 0
+
+    def add_pairs(j):
+        nonlocal processed
+        lj = basis[j].lhs
+        for i in range(j):
+            li = basis[i].lhs
+            if li.gcd_is_one(lj):
+                treated.add((i, j))
+                processed += 1
+            else:
+                big = li.lcm(lj)
+                heapq.heappush(queue, (big.degree, order.key(big), i, j, big))
+        if processed > max_pairs:
+            raise BudgetError(f"buchberger exceeded the pair budget of {max_pairs}")
+
+    for j in range(len(basis)):
+        add_pairs(j)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        _, _, i, j, big = heapq.heappop(queue)
         processed += 1
         if processed > max_pairs:
             raise BudgetError(f"buchberger exceeded the pair budget of {max_pairs}")
-        fi, fj = basis[i], basis[j]
-        big = fi.lhs.lcm(fj.lhs)
-        if fi.lhs.gcd_is_one(fj.lhs):
-            treated.add((i, j))
-            continue
         # Chain criterion: skip if some k has lt_k | lcm and both flanking
         # pairs were already treated.
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        outside = ~big.support
+        for k, h in enumerate(basis):
+            lt = h.lhs
+            if lt.support & outside or k == i or k == j:
                 continue
-            if basis[k].lhs.divides(big):
+            if lt.divides(big):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in treated and pjk in treated:
@@ -320,16 +337,14 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
         treated.add((i, j))
         if skip:
             continue
-        s = s_binomial(fi, fj, order)
+        s = s_binomial(basis[i], basis[j], order)
         if s is None:
             continue
         r = reduce(s, basis, order)
         if r is None:
             continue
         basis.append(r)
-        new = len(basis) - 1
-        for k in range(new):
-            heapq.heappush(queue, pair_entry(k, new))
+        add_pairs(len(basis) - 1)
 
     # Minimalize: keep only elements whose leading term no other kept leading
     # term divides, scanning in ascending leading-term order.

@@ -209,6 +209,31 @@ def _check_enumeration_budget(q: int, max_deg: int, budget: int) -> None:
                               f"over the budget {budget}")
 
 
+def _fibers(graph: SimpleGraph, max_deg: int, budget: int):
+    """For each degree 1..max_deg, a dict from vertex image to the edge-support
+    bitmasks of the edge monomials with that image (one entry per monomial).
+
+    The budget is checked for every degree before anything is enumerated.  An
+    image is packed into one int with a field per vertex wide enough to hold
+    max_deg, the largest exponent a vertex reaches in a loop-free graph.
+    """
+    q = len(graph.edges)
+    _check_enumeration_budget(q, max_deg, budget)
+    width = max_deg.bit_length()
+    images = [sum(x << (v * width) for v, x in enumerate(graph.edge_vertex_exponents(e)))
+              for e in range(q)]
+    bits = [1 << e for e in range(q)]
+    for deg in range(1, max_deg + 1):
+        fibers: dict[int, list[int]] = {}
+        for combo in combinations_with_replacement(range(q), deg):
+            image = support = 0
+            for e in combo:
+                image += images[e]
+                support |= bits[e]
+            fibers.setdefault(image, []).append(support)
+        yield fibers
+
+
 def hilbert_enumeration_oracle(
     graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[int]:
@@ -218,102 +243,47 @@ def hilbert_enumeration_oracle(
     monomial images of degree-i edge monomials under e -> (product of its
     endpoints), so counting distinct images gives the dimension exactly.
     """
-    q = len(graph.edges)
-    images = [graph.edge_vertex_exponents(i) for i in range(q)]
-    nv = len(graph.vertices)
-    _check_enumeration_budget(q, max_deg, budget)
-    dims = [1]
-    for deg in range(1, max_deg + 1):
-        seen = set()
-        for combo in combinations_with_replacement(range(q), deg):
-            acc = [0] * nv
-            for e in combo:
-                img = images[e]
-                for k in range(nv):
-                    acc[k] += img[k]
-            seen.add(tuple(acc))
-        dims.append(len(seen))
-    return dims
-
-
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    return [1] + [len(fibers) for fibers in _fibers(graph, max_deg, budget)]
 
 
 def minimal_generators_oracle(
     graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[int, int]:
     """Minimal generator counts of the toric ideal per degree, 2..max_deg,
-    by exact linear algebra on graded pieces.
+    from the fibers of the edge map.
 
-    Each graded piece of the ideal is spanned by differences of edge
-    monomials with equal vertex image; the count in degree j is
-    dim(I_j) - dim(R_1 * I_{j-1}).  The second term is the rank of a system
-    of difference-of-unit vectors, computed by component counting.
+    I_j is spanned by the differences of degree-j edge monomials with equal
+    vertex image, so a fiber of N monomials adds N - 1 to dim I_j.  Within a
+    fiber, u - u' lies in R_1 * I_{j-1} exactly when u and u' are joined by
+    a chain of fiber members in which neighbours share a variable (if x_e
+    divides u and u', then u/x_e - u'/x_e is in I_{j-1}), so the fiber adds
+    N - c to dim(R_1 * I_{j-1}), c being the number of such components.  The
+    count dim I_j - dim(R_1 * I_{j-1}) is therefore the sum of c - 1 over
+    the fibers.
     """
     if max_deg < 2:
         raise DomainError("max_deg must be at least 2")
-    q = len(graph.edges)
-    images = [graph.edge_vertex_exponents(i) for i in range(q)]
-    nv = len(graph.vertices)
     out: dict[int, int] = {}
-    prev_classes: list[list[tuple[int, ...]]] = []
-    _check_enumeration_budget(q, max_deg, budget)
-    for deg in range(1, max_deg + 1):
-        classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for deg, fibers in enumerate(_fibers(graph, max_deg, budget), start=1):
+        if deg == 1:
+            continue
         count = 0
-        for combo in combinations_with_replacement(range(q), deg):
-            count += 1
-            mono = [0] * q
-            acc = [0] * nv
-            for e in combo:
-                mono[e] += 1
-                img = images[e]
-                for k in range(nv):
-                    acc[k] += img[k]
-            classes.setdefault(tuple(acc), []).append(tuple(mono))
-        dim_ideal = count - len(classes)
-        if deg >= 2:
-            dsu = _DSU()
-            touched = set()
-            for members in prev_classes:
-                rep = members[0]
-                for other in members[1:]:
-                    for e in range(q):
-                        a = _bump(rep, e)
-                        b = _bump(other, e)
-                        dsu.union(a, b)
-                        touched.add(a)
-                        touched.add(b)
-            components = len({dsu.find(x) for x in touched})
-            rank = len(touched) - components
-            out[deg] = dim_ideal - rank
-        prev_classes = [m for m in classes.values() if len(m) >= 2]
+        for supports in fibers.values():
+            if len(supports) < 2:
+                continue
+            components: list[int] = []  # disjoint unions of the members' supports
+            for s in supports:
+                rest = []
+                for c in components:
+                    if c & s:
+                        s |= c
+                    else:
+                        rest.append(c)
+                rest.append(s)
+                components = rest
+            count += len(components) - 1
+        out[deg] = count
     return out
-
-
-def _bump(mono: tuple[int, ...], e: int) -> tuple[int, ...]:
-    return mono[:e] + (mono[e] + 1,) + mono[e + 1:]
 
 
 def krull_dim(graph: SimpleGraph) -> int:

@@ -122,8 +122,8 @@ def sort_ascending(gens, order: GrevlexOrder) -> OrderedGenerators:
 
 
 def colon_with_monomial(prior, m: Monomial) -> MonomialIdeal:
-    """Minimal generating set of (prior) : (m), via lcm(p, m)/m over the priors."""
-    gens = [p.lcm(m) / m for p in prior]
+    """Minimal generating set of (prior) : (m), via lcm(p, m)/m = max(p - m, 0) over the priors."""
+    gens = [Monomial([a - b if a > b else 0 for a, b in zip(p.exps, m.exps)]) for p in prior]
     return MonomialIdeal(tuple(minimalize_monomials(gens)))
 
 

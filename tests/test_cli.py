@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricgraphs import betti_formula_k2d, build_grd, hilbert_from_betti, parse_graph, serialize_graph
+from toricgraphs import BudgetError, betti_formula_k2d, build_grd, hilbert_from_betti, parse_graph, serialize_graph
 from toricgraphs.walks import ClosedEvenWalk, family_primitive_walks
 from toricgraphs.cli import run
 
@@ -37,6 +37,19 @@ def test_usage_error_exit_code(capsys):
     assert "usage" in err.lower()
     code, _, err = invoke(capsys, "gen")
     assert code == 1
+
+
+def test_consecutive_runs_share_no_state(capsys):
+    code, out, _ = invoke(capsys, "betti", "--grd", "3", "3", "--method", "quotients", "--json")
+    assert code == 0
+    assert json.loads(out)["method"] == "quotients"
+    code, out, _ = invoke(capsys, "betti", "--grd", "3", "3")
+    assert code == 0
+    assert out.startswith("graded Betti numbers of I_G\n")
+    assert "{" not in out and "quotients" not in out
+    code, _, err = invoke(capsys, "betti", "--grd", "3")
+    assert code == 1
+    assert "usage" in err.lower()
 
 
 def test_walks_json(capsys):
@@ -333,6 +346,28 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10")
     assert code == 3
     assert "BUDGET primitive-walks" in out and out.rstrip().endswith("overall: budget")
+
+
+def test_verify_reports_a_failed_stage_and_skips_what_needs_it(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetError("buchberger exceeded the pair budget of 0")
+
+    monkeypatch.setattr("toricgraphs.cli.buchberger", exhausted)
+    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "budget"
+    statuses = {c["name"]: c["status"] for c in doc["checks"]}
+    assert statuses["groebner-basis"] == "budget"
+    assert statuses["toric-generator-degrees"] == "pass"
+    assert statuses["hilbert-enumeration"] == "pass"
+    skipped = ["initial-ideal", "linear-quotients", "betti-linear-quotients", "betti-taylor-oracle"]
+    assert sorted(statuses) == sorted(set(VERIFY_CHECKS) - set(skipped))
+    for name in skipped:
+        assert any(note.startswith(f"{name} skipped") for note in doc["notes"])
+    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3")
+    assert code == 3
+    assert "BUDGET groebner-basis" in out and out.rstrip().endswith("overall: budget")
 
 
 def test_verify_json_schema(capsys):

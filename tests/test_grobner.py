@@ -19,6 +19,7 @@ from toricgraphs import (
     walk_to_binomial,
 )
 from toricgraphs.grobner import format_binomial, format_monomial, minimalize_monomials
+from toricgraphs.walks import family_primitive_walks
 
 
 def mono(order, text):
@@ -181,6 +182,28 @@ def test_reduce_concatenated_walk_binomial_to_zero():
     assert reduce(walk_to_binomial(glued), basis, order) is None
 
 
+def test_reduce_normalizes_basis_elements_it_uses():
+    # A basis listing some elements tail-first, plus a zero binomial whose
+    # sides divide everything the variable a1 divides, reduces exactly like
+    # its normalized form with the zero binomial dropped.
+    graph = build_grd(3, 5)
+    order = default_order(graph)
+    gb = buchberger([walk_to_binomial(w) for w in grd_primitive_walks(3, 5)], order)
+    zero = bino(order, "a1", "a1")
+    mixed = [zero] + [-g if k % 3 == 0 else g for k, g in enumerate(gb)]
+    mixed.insert(7, zero)
+    rng = random.Random(11)
+    targets = [bino(order, "a1*a2*b3", "a3*b1*b2")]
+    for _ in range(200):
+        lhs = Monomial.from_variables(order.nvars, rng.choices(range(order.nvars), k=3))
+        rhs = Monomial.from_variables(order.nvars, rng.choices(range(order.nvars), k=3))
+        targets.append(Binomial(lhs, rhs))
+    targets += [s_binomial(f, g, order) for f in gb for g in gb]
+    for f in targets:
+        if f is not None:
+            assert reduce(f, mixed, order) == reduce(f, gb, order)
+
+
 # ---------------------------------------------------------------------------
 # Buchberger
 
@@ -257,6 +280,20 @@ def test_buchberger_budget():
     gens = [walk_to_binomial(w) for w in grd_primitive_walks(3, 5)]
     with pytest.raises(BudgetError):
         buchberger(gens, order, max_pairs=3)
+
+
+@pytest.mark.parametrize("graph", [build_k2d(4), build_grd(3, 3)], ids=["K24", "G33"])
+def test_buchberger_budget_counts_coprime_pairs(graph):
+    # Six generators that already form the reduced basis: all 15 pairs count
+    # against max_pairs, including those with coprime leading terms.
+    order = default_order(graph)
+    gens = [walk_to_binomial(w) for w in family_primitive_walks(graph)]
+    assert len(gens) == 6
+    leads = [order.leading(f) for f in gens]
+    assert any(u.gcd_is_one(v) for u in leads for v in leads)
+    with pytest.raises(BudgetError):
+        buchberger(gens, order, max_pairs=14)
+    assert len(buchberger(gens, order, max_pairs=15)) == 6
 
 
 def test_buchberger_completes_partial_generating_set():

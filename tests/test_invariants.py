@@ -1,4 +1,6 @@
 import json
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -23,6 +25,7 @@ from toricgraphs import (
     reg_pdim,
 )
 from toricgraphs.invariants import quotient_numerator_from_betti
+from toricgraphs.linalg import sparse_rational_rank
 
 
 def cycle_graph(n):
@@ -39,6 +42,12 @@ def path_graph(n):
         "edges": [{"name": f"f{i}", "ends": [f"u{i}", f"u{i+1}"]} for i in range(n - 1)],
     }
     return parse_graph(json.dumps(doc))
+
+
+def graph_from_pairs(pairs):
+    vertices = sorted({str(v) for pair in pairs for v in pair})
+    edges = [{"name": f"g{k}", "ends": [str(u), str(v)]} for k, (u, v) in enumerate(pairs)]
+    return parse_graph(json.dumps({"vertices": vertices, "edges": edges}))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,53 @@ def test_minimal_generators_tree():
 def test_minimal_generators_even_cycle():
     # a single 6-cycle: the toric ideal is principal, generated in degree 3
     assert minimal_generators_oracle(cycle_graph(6), 4) == {2: 0, 3: 1, 4: 0}
+
+
+def rank_reference(graph, max_deg):
+    """dim I_j - rank(R_1 * I_{j-1}) per degree j, with R_1 * I_{j-1} spanned by
+    the explicit vectors x_e * (m - m') over pairs m, m' of equal vertex image."""
+    q = len(graph.edges)
+    images = [graph.edge_vertex_exponents(e) for e in range(q)]
+
+    def fibers(deg):
+        out = {}
+        for combo in combinations_with_replacement(range(q), deg):
+            image = tuple(map(sum, zip(*(images[e] for e in combo))))
+            out.setdefault(image, []).append(combo)
+        return out
+
+    counts = {}
+    prev = fibers(1)
+    for deg in range(2, max_deg + 1):
+        cur = fibers(deg)
+        dim_ideal = sum(len(members) - 1 for members in cur.values())
+        rows = [{tuple(sorted(first + (e,))): 1, tuple(sorted(other + (e,))): -1}
+                for first, *rest in prev.values() for other in rest for e in range(q)]
+        counts[deg] = dim_ideal - sparse_rational_rank(rows)
+        prev = cur
+    return counts
+
+
+def test_minimal_generators_match_rank_reference_on_atlas():
+    nx = pytest.importorskip("networkx")
+    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
+              if 0 < g.number_of_edges() <= 7 and nx.is_connected(g)]
+    assert len(graphs) == 108
+    for g in graphs:
+        max_deg = max(2, min(len(g.edges), 5))
+        assert minimal_generators_oracle(g, max_deg) == rank_reference(g, max_deg), g.edges
+
+
+@pytest.mark.parametrize("max_deg", [4, 8])
+def test_packed_images_hold_max_deg(max_deg):
+    # The path d-a-e-c-b, with its vertices packed in the order a..e.  In
+    # degree k = max_deg, a power of two, the images a^k d e^(k-1) and
+    # c^k b e^(k-1) differ, but fields one bit too narrow (holding k - 1)
+    # would carry a^k into b and c^k into d and pack both to the same int.
+    path = graph_from_pairs([("d", "a"), ("a", "e"), ("e", "c"), ("c", "b")])
+    assert path.vertices == ["a", "b", "c", "d", "e"]
+    assert hilbert_enumeration_oracle(path, max_deg) == [comb(k + 3, 3) for k in range(max_deg + 1)]
+    assert minimal_generators_oracle(path, max_deg) == {j: 0 for j in range(2, max_deg + 1)}
 
 
 def test_minimal_generators_validation():
