@@ -38,7 +38,13 @@ from .invariants import (
     minimal_generators_oracle,
     reg_pdim,
 )
-from .quotients import betti_taylor_oracle, betti_from_linear_quotients, quotient_profile, sort_ascending
+from .quotients import (
+    TAYLOR_MAX_GENERATORS,
+    betti_from_linear_quotients,
+    betti_taylor_oracle,
+    quotient_profile,
+    sort_ascending,
+)
 from .walks import (
     default_max_len,
     enumerate_primitive_walks,
@@ -357,9 +363,10 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     report.run("betti-linear-quotients", check_betti_quotients, needs="linear-quotients")
 
     ideal = done.get("initial-ideal")
-    if ideal is not None and len(ideal) > 18:
+    if ideal is not None and len(ideal) > TAYLOR_MAX_GENERATORS:
         report.notes.append(
-            f"betti-taylor-oracle skipped: {len(ideal)} generators exceed the 2^18 subset cap"
+            f"betti-taylor-oracle skipped: {len(ideal)} generators exceed"
+            f" the 2^{TAYLOR_MAX_GENERATORS} subset cap"
         )
     else:
         def check_betti_taylor():

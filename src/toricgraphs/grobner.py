@@ -205,7 +205,14 @@ class MonomialIdeal:
             minimal.sort(key=order.key)
         else:
             minimal.sort(key=lambda m: (m.degree, m.exps))
-        return cls(tuple(minimal))
+        return cls._from_minimal(minimal)
+
+    @classmethod
+    def _from_minimal(cls, gens) -> MonomialIdeal:
+        """Wrap a generating set already known to be minimal, skipping the O(n^2) check."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "min_gens", tuple(gens))
+        return ideal
 
     def __len__(self):
         return len(self.min_gens)

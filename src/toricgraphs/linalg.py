@@ -39,56 +39,33 @@ def rational_rank(rows) -> int:
 def sparse_rational_rank(rows) -> int:
     """Rank of a sparse matrix given as dicts {column: nonzero value}.
 
-    Exact elimination that keeps integer arithmetic as long as unit pivots
-    are available (they almost always are for boundary matrices) and falls
-    back to Fractions otherwise.  Pivots are chosen sparsest-first to limit
-    fill-in.
+    One pass over the rows.  Each row is reduced against the pivot rows kept
+    so far, which are indexed by their largest column and scaled so that
+    entry is 1; subtracting one clears the row's largest column and adds
+    only smaller ones.  A row that does not reduce to zero becomes a new
+    pivot row, and the rank is the number of pivot rows.  Arithmetic is
+    exact: ints while every pivot is +-1 (as on boundary matrices),
+    Fractions otherwise.  The input rows are not mutated.
     """
-    active = {}
-    col_rows: dict[int, set[int]] = {}
-    for rid, row in enumerate(rows):
-        cleaned = {c: v for c, v in row.items() if v}
-        if not cleaned:
-            continue
-        active[rid] = cleaned
-        for c in cleaned:
-            col_rows.setdefault(c, set()).add(rid)
-    rank = 0
-    while active:
-        rid = min(active, key=lambda i: (len(active[i]), i))
-        row = active.pop(rid)
-
-        def pivot_key(c):
-            v = row[c]
-            return (0 if v == 1 or v == -1 else 1, len(col_rows[c]), c)
-
-        pc = min(row, key=pivot_key)
-        piv = row[pc]
-        for c in row:
-            col_rows[c].discard(rid)
-        for other in sorted(col_rows.get(pc, ())):
-            target = active[other]
-            coef = target[pc]
-            if piv == 1:
-                factor = coef
-            elif piv == -1:
-                factor = -coef
-            elif isinstance(coef, Fraction) or isinstance(piv, Fraction):
-                factor = coef / piv
-            else:
-                factor = Fraction(coef, piv)
-            for c, v in row.items():
-                new = target.get(c, 0) - factor * v
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            c = max(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                v = row[c]
+                if v == -1:
+                    row = {k: -x for k, x in row.items()}
+                elif v != 1:
+                    row = {k: Fraction(x, v) for k, x in row.items()}
+                pivots[c] = row
+                break
+            f = row[c]
+            for k, x in pivot.items():
+                new = row.get(k, 0) - f * x
                 if new:
-                    if c not in target:
-                        col_rows.setdefault(c, set()).add(other)
-                    target[c] = new
+                    row[k] = new
                 else:
-                    if c in target:
-                        del target[c]
-                        col_rows[c].discard(other)
-            if not target:
-                del active[other]
-        col_rows.pop(pc, None)
-        rank += 1
-    return rank
+                    del row[k]
+    return len(pivots)

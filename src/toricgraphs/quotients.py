@@ -6,11 +6,15 @@ complex oracle for graded Betti numbers of monomial ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .errors import BudgetError, DomainError
 from .grobner import GrevlexOrder, Monomial, MonomialIdeal, minimalize_monomials
 from .linalg import sparse_rational_rank
+
+# Largest generator count the Taylor oracle accepts: it visits all 2^M subsets.
+TAYLOR_MAX_GENERATORS = 18
 
 
 @dataclass
@@ -124,7 +128,7 @@ def sort_ascending(gens, order: GrevlexOrder) -> OrderedGenerators:
 def colon_with_monomial(prior, m: Monomial) -> MonomialIdeal:
     """Minimal generating set of (prior) : (m), via lcm(p, m)/m = max(p - m, 0) over the priors."""
     gens = [Monomial([a - b if a > b else 0 for a, b in zip(p.exps, m.exps)]) for p in prior]
-    return MonomialIdeal(tuple(minimalize_monomials(gens)))
+    return MonomialIdeal._from_minimal(minimalize_monomials(gens))
 
 
 def quotient_profile(ordered: OrderedGenerators) -> QuotientProfile:
@@ -161,7 +165,9 @@ def betti_from_linear_quotients(
     return table
 
 
-def betti_taylor_oracle(ideal: MonomialIdeal, max_generators: int = 18) -> BettiTable:
+def betti_taylor_oracle(
+    ideal: MonomialIdeal, max_generators: int = TAYLOR_MAX_GENERATORS
+) -> BettiTable:
     """Graded Betti numbers by Taylor-complex homology; independent of any
     quotient structure.
 
@@ -171,6 +177,13 @@ def betti_taylor_oracle(ideal: MonomialIdeal, max_generators: int = 18) -> Betti
     preserve the multidegree label, so the complex splits per multidegree
     and beta_{i, alpha} is the homology dimension of the size-(i+1) layer of
     the alpha slice, computed here by exact rank counting.
+
+    Each multidegree is held as an int thermometer code: exponent e is the
+    field (1 << e) - 1 of w bits, w the largest exponent, with variable 0 in
+    the highest field.  Then lcm(S) is the bitwise OR of the codes and its
+    degree is the bit count.  Comparing codes as ints compares exponent
+    vectors lexicographically, so the slices are visited, and the table
+    entries inserted, in (size, exponent vector) order.
     """
     gens = list(ideal.min_gens)
     M = len(gens)
@@ -181,23 +194,24 @@ def betti_taylor_oracle(ideal: MonomialIdeal, max_generators: int = 18) -> Betti
     table = BettiTable()
     if M == 0:
         return table
-    nvars = len(gens[0].exps)
-    lcms: list[tuple[int, ...] | None] = [None] * (1 << M)
-    lcms[0] = (0,) * nvars
-    bit_of = {1 << b: b for b in range(M)}
+    w = max((e for g in gens for e in g.exps), default=0)
+    code_of = {}
+    for b, g in enumerate(gens):
+        code = 0
+        for e in g.exps:
+            code = (code << w) | ((1 << e) - 1)
+        code_of[1 << b] = code
+
+    # lcm code of every subset, and the subsets grouped by (size, lcm code).
+    lcms = [0] * (1 << M)
+    groups: dict[tuple[int, int], list[int]] = {}
     for mask in range(1, 1 << M):
         low = mask & -mask
-        rest = lcms[mask ^ low]
-        g = gens[bit_of[low]].exps
-        lcms[mask] = tuple(max(a, b) for a, b in zip(rest, g))
+        lcms[mask] = alpha = lcms[mask ^ low] | code_of[low]
+        groups.setdefault((mask.bit_count(), alpha), []).append(mask)
 
-    # Group subsets by (size, multidegree).
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for mask in range(1, 1 << M):
-        k = mask.bit_count()
-        groups.setdefault((k, lcms[mask]), []).append(mask)
-
-    def boundary_rank(k: int, alpha) -> int:
+    @cache
+    def boundary_rank(k: int, alpha: int) -> int:
         """Rank of the size-k layer boundary within the multidegree slice."""
         sources = groups.get((k, alpha))
         targets = groups.get((k - 1, alpha))
@@ -219,17 +233,9 @@ def betti_taylor_oracle(ideal: MonomialIdeal, max_generators: int = 18) -> Betti
             rows.append(row)
         return sparse_rational_rank(rows)
 
-    rank_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def rank_at(k, alpha):
-        key = (k, alpha)
-        if key not in rank_cache:
-            rank_cache[key] = boundary_rank(k, alpha)
-        return rank_cache[key]
-
     for (k, alpha), masks in sorted(groups.items()):
         dim = len(masks)
-        beta = dim - rank_at(k, alpha) - rank_at(k + 1, alpha)
+        beta = dim - boundary_rank(k, alpha) - boundary_rank(k + 1, alpha)
         if beta:
-            table.add(k - 1, sum(alpha), beta)
+            table.add(k - 1, alpha.bit_count(), beta)
     return table

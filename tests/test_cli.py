@@ -385,6 +385,23 @@ def test_verify_k2d(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_verify_taylor_entry_order_pinned(capsys):
+    # The JSON prints the table's dict, so the oracle must insert its entries
+    # in (subset size, exponent vector) order.
+    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
+    assert code == 0
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "betti-taylor-oracle"]
+    assert check["actual"] == "{(0, 3): 3, (0, 2): 3, (1, 4): 6, (1, 3): 2, (2, 5): 3}"
+
+
+def test_verify_notes_the_taylor_cap(capsys):
+    code, out, _ = invoke(capsys, "verify", "--k2d", "7", "--json")
+    doc = json.loads(out)
+    assert (code, doc["status"]) == (0, "pass")
+    assert doc["notes"] == ["betti-taylor-oracle skipped: 21 generators exceed the 2^18 subset cap"]
+    assert "betti-taylor-oracle" not in [c["name"] for c in doc["checks"]]
+
+
 def test_verify_rejects_graph_file(capsys, tmp_path):
     f = tmp_path / "g.json"
     f.write_text(serialize_graph(build_grd(3, 2)))

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from toricgraphs import (
@@ -15,6 +18,7 @@ from toricgraphs import (
     colon_with_monomial,
     default_order,
     grd_primitive_walks,
+    hilbert_from_betti,
     initial_ideal,
     quotient_profile,
     sort_ascending,
@@ -229,6 +233,49 @@ def test_taylor_non_squarefree_input():
     assert sum(b for (i, j), b in table.entries.items() if i >= 2) == 0
 
 
+def monomials_of_degree(nvars, deg):
+    return [Monomial.from_variables(nvars, pos) for pos in combinations_with_replacement(range(nvars), deg)]
+
+
+@pytest.mark.parametrize("nvars, power", [(3, 3), (2, 4)])
+def test_taylor_matches_quotients_on_powers_of_the_maximal_ideal(nvars, power):
+    # (x,y,z)^3 and (x,y)^4 have linear quotients and exponents up to the power.
+    order = GrevlexOrder([f"x{i}" for i in range(nvars)])
+    gens = monomials_of_degree(nvars, power)
+    ordered = sort_ascending(gens, order)
+    profile = quotient_profile(ordered)
+    assert profile.linear
+    lq = betti_from_linear_quotients(ordered, profile)
+    assert betti_taylor_oracle(MonomialIdeal.from_generators(gens, order)) == lq
+
+
+def standard_monomial_counts(gens, nvars, max_deg):
+    """Per degree, the monomials that no generator divides."""
+    return [
+        sum(not any(g.divides(m) for g in gens) for m in monomials_of_degree(nvars, deg))
+        for deg in range(max_deg + 1)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_taylor_hilbert_series_counts_standard_monomials(seed):
+    # Random non-squarefree ideals with exponents up to 3: the Hilbert series
+    # from Taylor's table must count the monomials outside the ideal.
+    rng = random.Random(seed)
+    nvars = rng.randint(2, 4)
+    gens = [Monomial([3] + [0] * (nvars - 1))]
+    while len(gens) < 12:
+        m = Monomial([rng.randint(0, 3) for _ in range(nvars)])
+        if 3 <= m.degree <= 5:  # rarely comparable, so most stay minimal
+            gens.append(m)
+    ideal = MonomialIdeal.from_generators(gens)
+    table = betti_taylor_oracle(ideal)
+    top = 3 * nvars + 1  # past the degree of every lcm
+    assert hilbert_from_betti(table, nvars).expand(top) == standard_monomial_counts(
+        ideal.min_gens, nvars, top
+    )
+
+
 # ---------------------------------------------------------------------------
 # sorting and cross-checks
 
@@ -309,6 +356,17 @@ def test_betti_table_triples_sorted():
 def test_betti_table_rejects_negative():
     with pytest.raises(DomainError):
         BettiTable({(0, 2): -1})
+
+
+def test_internal_ideals_equal_checked_ones():
+    # colon_with_monomial skips the minimality re-check; its ideals must still
+    # compare and hash like ones from the public constructor.
+    order = GrevlexOrder(["x", "y", "z"])
+    prior = [mono(order, "x^2*y"), mono(order, "y*z^2"), mono(order, "x*z")]
+    colon = colon_with_monomial(prior, mono(order, "x*y"))
+    checked = MonomialIdeal(colon.min_gens)
+    assert colon == checked and hash(colon) == hash(checked)
+    assert sorted(m.exps for m in colon.min_gens) == [(0, 0, 1), (1, 0, 0)]
 
 
 def test_monomial_ideal_rejects_non_minimal():
