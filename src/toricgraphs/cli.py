@@ -1,5 +1,11 @@
 """Command-line interface.
 
+Every command and `verify` read their results from one `Chain`, the paper's
+method as a lazily evaluated sequence of stages: primitive walks -> reduced
+Groebner basis -> in(I_G) -> ascending generators with their quotient
+profile -> graded Betti numbers (-> Hilbert series).  Each stage runs at
+most once per command, on first use.
+
 Exit codes: 0 success, 1 domain/usage error, 2 verification failure
 (the math disagrees), 3 budget exhaustion.
 
@@ -70,8 +76,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _add_graph_args(sub, require=True):
-    group = sub.add_mutually_exclusive_group(required=require)
+def _add_graph_args(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph", metavar="FILE", help="JSON graph file")
     group.add_argument("--grd", nargs=2, type=int, metavar=("R", "D"),
                        help="family graph: K_{2,D} plus an even path of length 2R-2")
@@ -91,12 +97,6 @@ def _load_graph(args) -> SimpleGraph:
     return build_k2d(args.k2d)
 
 
-def _order_for(graph, args) -> GrevlexOrder:
-    spec = getattr(args, "order", None)
-    priority = [s.strip() for s in spec.split(",")] if spec else None
-    return default_order(graph, priority)
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -110,13 +110,61 @@ def _closed_forms(graph):
     return family_invariants(graph.family)
 
 
-def _primitive_basis(graph, order, budget):
-    if graph.family is not None:
-        walks = family_primitive_walks(graph)
-    else:
-        walks = enumerate_primitive_walks(graph, node_budget=budget)
-    gens = [walk_to_binomial(w) for w in walks]
-    return buchberger(gens, order, max_pairs=max(1000, budget // 100))
+class Chain:
+    """The stage chain on one graph under one monomial order; each stage is cached.
+
+    Walks are the closed forms on a family graph and the search's output on
+    any other.  `max_pairs` caps Buchberger's S-pairs (None: its default).
+    """
+
+    def __init__(self, graph: SimpleGraph, order: GrevlexOrder, budget: int, max_pairs=None):
+        self.graph, self.order, self.budget = graph, order, budget
+        self.cap = {} if max_pairs is None else {"max_pairs": max_pairs}
+
+    def search(self, max_len=None):
+        """Primitive walks found by the search, up to max_len (default: default_max_len)."""
+        return enumerate_primitive_walks(self.graph, max_len, node_budget=self.budget)
+
+    @functools.cached_property
+    def walks(self):
+        if self.graph.family is not None:
+            return family_primitive_walks(self.graph)
+        return self.search()
+
+    @functools.cached_property
+    def generators(self):
+        return [walk_to_binomial(w) for w in self.walks]
+
+    @functools.cached_property
+    def basis(self):
+        return buchberger(self.generators, self.order, **self.cap)
+
+    @functools.cached_property
+    def initial(self):
+        return initial_ideal(self.basis, self.order)
+
+    @functools.cached_property
+    def quotients(self):
+        """in(I_G)'s generators in ascending order, with their quotient profile."""
+        ordered = sort_ascending(self.initial.min_gens, self.order)
+        return ordered, quotient_profile(ordered)
+
+    def betti(self, method):
+        """The closed-form table of I_G (formula), or in(I_G)'s (quotients, oracle)."""
+        if method == "formula":
+            return _closed_forms(self.graph).betti
+        if method == "quotients":
+            return betti_from_linear_quotients(*self.quotients)
+        return betti_taylor_oracle(self.initial)
+
+
+def _chain(args) -> Chain:
+    """The chain of a command's graph, under --order if given, with the command pair cap."""
+    graph = _load_graph(args)
+    spec = getattr(args, "order", None)
+    priority = [s.strip() for s in spec.split(",")] if spec else None
+    return Chain(graph, default_order(graph, priority), args.budget,
+                 max_pairs=max(1000, args.budget // 100))
 
 
 def cmd_gen(args) -> int:
@@ -138,10 +186,11 @@ def cmd_walks(args) -> int:
     ``truncated`` is true when ``--max-len`` is below the general bound 2|E|;
     the default cap (the proven family bound, or 2|E|) never counts.
     """
-    graph = _load_graph(args)
+    chain = _chain(args)
+    graph = chain.graph
     general = 2 * len(graph.edges)
     max_len = args.max_len if args.max_len is not None else default_max_len(graph)
-    walks = enumerate_primitive_walks(graph, max_len, node_budget=args.budget)
+    walks = chain.search(max_len)
     truncated = args.max_len is not None and max_len < general
     payload = {
         "count": len(walks),
@@ -161,43 +210,25 @@ def cmd_walks(args) -> int:
 
 
 def cmd_gb(args) -> int:
-    graph = _load_graph(args)
-    order = _order_for(graph, args)
-    gb = _primitive_basis(graph, order, args.budget)
-    payload = {"basis": [format_binomial(g, order.names) for g in gb]}
-    _emit(args, payload, "\n".join(format_binomial(g, order.names) for g in gb))
+    chain = _chain(args)
+    basis = [format_binomial(g, chain.order.names) for g in chain.basis]
+    _emit(args, {"basis": basis}, "\n".join(basis))
     return EXIT_OK
 
 
 def cmd_initial(args) -> int:
-    graph = _load_graph(args)
-    order = _order_for(graph, args)
-    gb = _primitive_basis(graph, order, args.budget)
-    ideal = initial_ideal(gb, order)
-    names = order.names
-    payload = {"generators": [format_monomial(m, names) for m in ideal.min_gens]}
-    _emit(args, payload, "\n".join(format_monomial(m, names) for m in ideal.min_gens))
+    chain = _chain(args)
+    gens = [format_monomial(m, chain.order.names) for m in chain.initial.min_gens]
+    _emit(args, {"generators": gens}, "\n".join(gens))
     return EXIT_OK
 
 
-def _betti_table(method, graph, order, budget):
-    if method == "formula":
-        return _closed_forms(graph).betti
-    ideal = initial_ideal(_primitive_basis(graph, order, budget), order)
-    if method == "quotients":
-        ordered = sort_ascending(ideal.min_gens, order)
-        profile = quotient_profile(ordered)
-        return betti_from_linear_quotients(ordered, profile)
-    return betti_taylor_oracle(ideal)
-
-
 def cmd_betti(args) -> int:
-    graph = _load_graph(args)
-    order = _order_for(graph, args)
-    table = _betti_table(args.method, graph, order, args.budget)
+    chain = _chain(args)
+    table = chain.betti(args.method)
     ideal = "I_G" if args.method == "formula" else "in(I_G)"
     header = f"graded Betti numbers of {ideal}"
-    if ideal == "in(I_G)" and graph.family is None:
+    if ideal == "in(I_G)" and chain.graph.family is None:
         header += " (an entrywise upper bound for those of I_G)"
     payload = {"method": args.method, "ideal": ideal, "betti": table.to_triples()}
     _emit(args, payload, f"{header}\n{table.to_grid()}")
@@ -205,9 +236,10 @@ def cmd_betti(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    graph = _load_graph(args)
-    order = _order_for(graph, args)
-    q = len(graph.edges)
+    chain = _chain(args)
+    graph = chain.graph
+    if args.max_deg is not None and args.max_deg < 0:
+        raise DomainError(f"--max-deg must be >= 0, got {args.max_deg}")
     if args.method == "enumerate":
         max_deg = args.max_deg if args.max_deg is not None else 4
         dims = hilbert_enumeration_oracle(graph, max_deg)
@@ -217,8 +249,8 @@ def cmd_hilbert(args) -> int:
     if args.method == "formula":
         series = _closed_forms(graph).hilbert
     else:  # betti: the closed-form table of a family graph, else in(I_G)'s by Taylor
-        method = "formula" if graph.family is not None else "oracle"
-        series = hilbert_from_betti(_betti_table(method, graph, order, args.budget), q)
+        table = chain.betti("formula" if graph.family is not None else "oracle")
+        series = hilbert_from_betti(table, len(graph.edges))
     hv = hvector_extract(series)
     payload = {
         "method": args.method,
@@ -258,12 +290,13 @@ class _Report:
         self.graph_spec = graph_spec
         self.checks = []
         self.notes = []
-        self.results = {}  # stage results that checks store under their own name
+        self.unfinished = set()  # checks that raised or were skipped
 
     def run(self, name, fn, needs=None):
-        """Run one check; skip it with a note if the check named `needs` stored no result."""
-        if needs is not None and needs not in self.results:
+        """Run one check; skip it with a note if the check named `needs` did not finish."""
+        if needs in self.unfinished:
             self.notes.append(f"{name} skipped: no result from {needs}")
+            self.unfinished.add(name)
             return
         t0 = time.perf_counter()
         try:
@@ -272,6 +305,7 @@ class _Report:
         except (DomainError, ConsistencyError, BudgetError) as exc:
             expected, actual = "no error", f"{type(exc).__name__}: {exc}"
             status = "budget" if isinstance(exc, BudgetError) else "fail"
+            self.unfinished.add(name)
         elapsed = time.perf_counter() - t0
         self.checks.append(
             {"name": name, "status": status, "expected": str(expected),
@@ -312,67 +346,45 @@ class _Report:
 def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     """Check each closed form of a family graph against code that does not use it.
 
-    The Buchberger, initial-ideal and quotient-profile stages run inside the
-    checks named after them, so each is charged to its check; a check whose
-    stage did not finish is skipped with a note.
+    Each chain stage runs on first use inside the check named after it, so
+    it is charged to that check; a check whose stage raised is skipped
+    with a note.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
-    order = default_order(graph)
+    chain = Chain(graph, default_order(graph), budget)
+    order = chain.order
     q = len(graph.edges)
-    closed_walks = family_primitive_walks(graph)
-    done = report.results
 
-    def check_walks():
-        found = enumerate_primitive_walks(graph, node_budget=budget)
-        expected = sorted(w.canonical_form() for w in closed_walks)
-        actual = sorted(w.canonical_form() for w in found)
-        return expected, actual
+    def walk_classes(walks):
+        return sorted(w.canonical_form() for w in walks)
 
-    report.run("primitive-walks", check_walks)
+    def binomial_keys(binomials):
+        return sorted((order.key(f.lhs), order.key(f.rhs)) for f in binomials)
 
-    gens = [walk_to_binomial(w) for w in closed_walks]
-
-    def check_gb():
-        done["groebner-basis"] = gb = buchberger(gens, order)
-        expected = sorted((order.key(f.lhs), order.key(f.rhs))
-                          for f in (order.normalize(g) for g in gens))
-        actual = sorted((order.key(f.lhs), order.key(f.rhs)) for f in gb)
-        return expected, actual
-
-    report.run("groebner-basis", check_gb)
-
-    def check_initial():
-        done["initial-ideal"] = ideal = initial_ideal(done["groebner-basis"], order)
-        expected = sorted(m.exps for m in family_initial_generators(graph))
-        return expected, sorted(m.exps for m in ideal.min_gens)
-
-    report.run("initial-ideal", check_initial, needs="groebner-basis")
+    report.run("primitive-walks", lambda: (walk_classes(chain.walks), walk_classes(chain.search())))
+    report.run("groebner-basis", lambda: (binomial_keys(map(order.normalize, chain.generators)),
+                                          binomial_keys(chain.basis)))
+    report.run("initial-ideal", lambda: (sorted(m.exps for m in family_initial_generators(graph)),
+                                         sorted(m.exps for m in chain.initial.min_gens)),
+               needs="groebner-basis")
 
     def check_quotients():
-        ordered = sort_ascending(done["initial-ideal"].min_gens, order)
-        profile = quotient_profile(ordered)
-        done["linear-quotients"] = ordered, profile
+        profile = chain.quotients[1]
         return (True, list(fam.n_sequence)), (profile.linear, profile.n)
 
     report.run("linear-quotients", check_quotients, needs="initial-ideal")
+    report.run("betti-linear-quotients", lambda: (fam.betti.entries, chain.betti("quotients").entries),
+               needs="linear-quotients")
 
-    def check_betti_quotients():
-        return fam.betti.entries, betti_from_linear_quotients(*done["linear-quotients"]).entries
-
-    report.run("betti-linear-quotients", check_betti_quotients, needs="linear-quotients")
-
-    ideal = done.get("initial-ideal")
-    if ideal is not None and len(ideal) > TAYLOR_MAX_GENERATORS:
+    if "initial-ideal" not in report.unfinished and len(chain.initial) > TAYLOR_MAX_GENERATORS:
         report.notes.append(
-            f"betti-taylor-oracle skipped: {len(ideal)} generators exceed"
+            f"betti-taylor-oracle skipped: {len(chain.initial)} generators exceed"
             f" the 2^{TAYLOR_MAX_GENERATORS} subset cap"
         )
     else:
-        def check_betti_taylor():
-            return fam.betti.entries, betti_taylor_oracle(done["initial-ideal"]).entries
-
-        report.run("betti-taylor-oracle", check_betti_taylor, needs="initial-ideal")
+        report.run("betti-taylor-oracle", lambda: (fam.betti.entries, chain.betti("oracle").entries),
+                   needs="initial-ideal")
 
     def check_toric_generators():
         # Row 0 of the closed-form table counts I_G's minimal generators by degree.
@@ -431,13 +443,15 @@ def _build_parser() -> _Parser:
                                  "Hilbert series, and cross-check oracles.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub, graph=True):
-        if graph:
-            _add_graph_args(sub)
+    def common(sub, order=False):
+        _add_graph_args(sub)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                          help="search-node budget for walk enumeration; gb, initial, betti "
                               "and hilbert also cap Buchberger at max(1000, BUDGET // 100) S-pairs")
+        if order:
+            sub.add_argument("--order", help="comma-separated variable priority, highest first "
+                                             "(default: the edges' declaration order)")
 
     s = subs.add_parser("gen", help="construct a graph and print it")
     _add_graph_args(s)
@@ -452,24 +466,20 @@ def _build_parser() -> _Parser:
     s.set_defaults(fn=cmd_walks)
 
     s = subs.add_parser("gb", help="reduced Groebner basis of the toric ideal")
-    common(s)
-    s.add_argument("--order", help="comma-separated variable priority, highest first")
+    common(s, order=True)
     s.set_defaults(fn=cmd_gb)
 
     s = subs.add_parser("initial", help="minimal generators of the initial ideal")
-    common(s)
-    s.add_argument("--order", help="comma-separated variable priority, highest first")
+    common(s, order=True)
     s.set_defaults(fn=cmd_initial)
 
     s = subs.add_parser("betti", help="graded Betti numbers")
-    common(s)
-    s.add_argument("--order", help="comma-separated variable priority, highest first")
+    common(s, order=True)
     s.add_argument("--method", choices=["formula", "quotients", "oracle"], default="formula")
     s.set_defaults(fn=cmd_betti)
 
     s = subs.add_parser("hilbert", help="Hilbert series / function")
-    common(s)
-    s.add_argument("--order", help="comma-separated variable priority, highest first")
+    common(s, order=True)
     s.add_argument("--method", choices=["formula", "betti", "enumerate"], default="formula")
     s.add_argument("--max-deg", type=int, help="expansion / enumeration degree")
     s.set_defaults(fn=cmd_hilbert)

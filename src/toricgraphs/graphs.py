@@ -1,12 +1,13 @@
 """Finite simple graphs with named vertices and edges.
 
-Vertex and edge *order* is part of the data model: the monomial order on the
-edge ring is derived from the declared edge sequence, so graphs are lists,
-not sets.  The two built-in families are
+Vertex and edge *order* is part of the data model: every graph's default
+monomial order is grevlex with the declared edge sequence as priority, so
+graphs are lists, not sets.  The two built-in families are
 
   K_{2,d}:  vertices x1, x2, y1..yd; edges a_i = {x1, y_i}, b_i = {x2, y_i};
   G(r,d):   K_{2,d} plus a path of length 2r-2 joining x1 and x2 through
-            fresh vertices z1..z_{2r-3}, edge labels e1..e_{2r-2}.
+            fresh vertices z1..z_{2r-3}, edge labels e1..e_{2r-2}, declared
+            a's, e's, b's, so that default order is the paper's a > e > b.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ class Edge:
 
 @dataclass(frozen=True)
 class FamilyTag:
-    kind: str  # "grd" or "k2d"
-    r: int | None
+    r: int | None  # None for K_{2,d}
     d: int
 
 
@@ -97,16 +97,15 @@ class SimpleGraph:
         return self.vertices == other.vertices and self.edges == other.edges
 
     def __repr__(self):
-        tag = ""
-        if self.family is not None:
-            tag = f", family={self.family.kind}"
+        tag = "" if self.family is None else f", family={self.family}"
         return f"SimpleGraph({len(self.vertices)} vertices, {len(self.edges)} edges{tag})"
 
 
 def build_grd(r: int, d: int) -> SimpleGraph:
     """The bipartite family member G(r,d): K_{2,d} plus an even path x1..x2.
 
-    Edge order is canonical: a1..ad, b1..bd, e1..e_{2r-2}.
+    Edge order is canonical: a1..ad, e1..e_{2r-2}, b1..bd, so declaration-order
+    grevlex is the paper's a > e > b.
     """
     if r < 3:
         raise DomainError(f"build_grd requires r >= 3, got r={r}")
@@ -116,12 +115,12 @@ def build_grd(r: int, d: int) -> SimpleGraph:
     vertices += [f"y{i}" for i in range(1, d + 1)]
     vertices += [f"z{i}" for i in range(1, 2 * r - 2)]
     edges = [Edge(f"a{i}", ("x1", f"y{i}")) for i in range(1, d + 1)]
-    edges += [Edge(f"b{i}", ("x2", f"y{i}")) for i in range(1, d + 1)]
     edges.append(Edge("e1", ("x1", "z1")))
     for i in range(2, 2 * r - 2):
         edges.append(Edge(f"e{i}", (f"z{i - 1}", f"z{i}")))
     edges.append(Edge(f"e{2 * r - 2}", (f"z{2 * r - 3}", "x2")))
-    return SimpleGraph(vertices, edges, family=FamilyTag("grd", r, d))
+    edges += [Edge(f"b{i}", ("x2", f"y{i}")) for i in range(1, d + 1)]
+    return SimpleGraph(vertices, edges, family=FamilyTag(r, d))
 
 
 def build_k2d(d: int) -> SimpleGraph:
@@ -131,7 +130,7 @@ def build_k2d(d: int) -> SimpleGraph:
     vertices = ["x1", "x2"] + [f"y{i}" for i in range(1, d + 1)]
     edges = [Edge(f"a{i}", ("x1", f"y{i}")) for i in range(1, d + 1)]
     edges += [Edge(f"b{i}", ("x2", f"y{i}")) for i in range(1, d + 1)]
-    return SimpleGraph(vertices, edges, family=FamilyTag("k2d", None, d))
+    return SimpleGraph(vertices, edges, family=FamilyTag(None, d))
 
 
 def parse_graph(text: str) -> SimpleGraph:

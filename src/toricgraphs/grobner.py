@@ -381,24 +381,10 @@ def initial_ideal(gb, order: GrevlexOrder) -> MonomialIdeal:
     return MonomialIdeal.from_generators(leads, order)
 
 
-def family_priority(graph: SimpleGraph) -> list[str]:
-    """Variable priority for the built-in families: a's, then e's, then b's."""
-    names = graph.edge_names
-    a = [n for n in names if n.startswith("a")]
-    e = [n for n in names if n.startswith("e")]
-    b = [n for n in names if n.startswith("b")]
-    return a + e + b
-
-
 def default_order(graph: SimpleGraph, priority=None) -> GrevlexOrder:
-    """Grevlex on the edge variables.
+    """Grevlex on the edge variables, for every graph alike.
 
-    Family graphs get the canonical a > e > b priority; general graphs default
-    to declaration order unless an explicit priority is supplied.
+    The priority is the edges' declaration order unless one is supplied;
+    a graph read from a file gets the same order as the one built in.
     """
-    names = graph.edge_names
-    if priority is not None:
-        return GrevlexOrder(names, priority)
-    if graph.family is not None:
-        return GrevlexOrder(names, family_priority(graph))
-    return GrevlexOrder(names)
+    return GrevlexOrder(graph.edge_names, priority)

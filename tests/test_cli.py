@@ -115,8 +115,8 @@ def test_gb_text_g32(capsys):
     assert code == 0
     assert out.splitlines() == [
         "a2*b1 - a1*b2",
-        "a2*e2*e4 - b2*e1*e3",
-        "a1*e2*e4 - b1*e1*e3",
+        "a2*e2*e4 - e1*e3*b2",
+        "a1*e2*e4 - e1*e3*b1",
     ]
 
 
@@ -256,6 +256,15 @@ def test_hilbert_enumerate(capsys):
     assert json.loads(out)["dimensions"] == [1, 8, 35]
 
 
+@pytest.mark.parametrize("max_deg", ["-1", "-2"])
+@pytest.mark.parametrize("method", ["formula", "betti", "enumerate"])
+def test_hilbert_rejects_negative_max_deg(capsys, method, max_deg):
+    code, out, err = invoke(capsys, "hilbert", "--grd", "3", "2", "--method", method,
+                            "--max-deg", max_deg, "--json")
+    assert (code, out) == (1, "")
+    assert f"--max-deg must be >= 0, got {max_deg}" in err
+
+
 def test_hilbert_betti_method_matches_formula(capsys):
     _, out1, _ = invoke(capsys, "hilbert", "--grd", "4", "3", "--method", "formula", "--json")
     _, out2, _ = invoke(capsys, "hilbert", "--grd", "4", "3", "--method", "betti", "--json")
@@ -297,6 +306,20 @@ def test_order_flag_changes_initial_ideal(capsys):
     )
     assert json.loads(out_default)["generators"] == ["a2*b1"]
     assert json.loads(out_flipped)["generators"] == ["a1*b2"]
+
+
+@pytest.mark.parametrize("family", [("--grd", "3", "2"), ("--grd", "4", "3"), ("--k2d", "4")])
+def test_family_graph_read_back_from_file_gives_the_same_results(capsys, tmp_path, family):
+    # The monomial order comes from the declared edges alone, not from how
+    # the graph was built.
+    _, text, _ = invoke(capsys, "gen", *family, "--json")
+    f = tmp_path / "g.json"
+    f.write_text(text)
+    for argv in (["betti", "--method", "quotients", "--json"], ["gb", "--json"]):
+        built = invoke(capsys, *argv, *family)
+        read = invoke(capsys, *argv, "--graph", str(f))
+        assert built[0] == 0
+        assert read == built
 
 
 def test_order_flag_rejects_bad_priority(capsys):
@@ -391,7 +414,7 @@ def test_verify_taylor_entry_order_pinned(capsys):
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
     assert code == 0
     (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "betti-taylor-oracle"]
-    assert check["actual"] == "{(0, 3): 3, (0, 2): 3, (1, 4): 6, (1, 3): 2, (2, 5): 3}"
+    assert check["actual"] == "{(0, 2): 3, (0, 3): 3, (1, 3): 2, (1, 4): 6, (2, 5): 3}"
 
 
 def test_verify_notes_the_taylor_cap(capsys):
@@ -400,6 +423,28 @@ def test_verify_notes_the_taylor_cap(capsys):
     assert (code, doc["status"]) == (0, "pass")
     assert doc["notes"] == ["betti-taylor-oracle skipped: 21 generators exceed the 2^18 subset cap"]
     assert "betti-taylor-oracle" not in [c["name"] for c in doc["checks"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--grd", "3", "3", "--json"),
+    ("betti", "--grd", "3", "3", "--method", "quotients"),
+    ("hilbert", "--graph", "FILE", "--method", "betti"),
+])
+def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
+    import toricgraphs.cli as cli
+
+    f = tmp_path / "g.json"
+    f.write_text(serialize_graph(build_grd(3, 2)))
+    calls = {}
+    for name in ("buchberger", "initial_ideal", "quotient_profile"):
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = invoke(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert code == 0
+    assert calls.get("buchberger") == 1
+    assert all(n <= 1 for n in calls.values()), calls
 
 
 def test_verify_rejects_graph_file(capsys, tmp_path):

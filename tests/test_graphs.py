@@ -50,8 +50,8 @@ def test_grd_35_counts_and_labels():
     assert len(g.edges) == 14
     assert g.edge_names == [
         "a1", "a2", "a3", "a4", "a5",
-        "b1", "b2", "b3", "b4", "b5",
         "e1", "e2", "e3", "e4",
+        "b1", "b2", "b3", "b4", "b5",
     ]
     assert g.edges[g.edge_index["e1"]].ends == ("x1", "z1")
     assert g.edges[g.edge_index["e4"]].ends == ("z3", "x2")

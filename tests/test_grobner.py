@@ -250,8 +250,8 @@ def test_g35_basis_matches_published_fifteen():
         "a5*b4 - a4*b5", "a5*b3 - a3*b5", "a4*b3 - a3*b4",
         "a5*b2 - a2*b5", "a4*b2 - a2*b4", "a3*b2 - a2*b3",
         "a5*b1 - a1*b5", "a4*b1 - a1*b4", "a3*b1 - a1*b3", "a2*b1 - a1*b2",
-        "a5*e2*e4 - b5*e1*e3", "a4*e2*e4 - b4*e1*e3", "a3*e2*e4 - b3*e1*e3",
-        "a2*e2*e4 - b2*e1*e3", "a1*e2*e4 - b1*e1*e3",
+        "a5*e2*e4 - e1*e3*b5", "a4*e2*e4 - e1*e3*b4", "a3*e2*e4 - e1*e3*b3",
+        "a2*e2*e4 - e1*e3*b2", "a1*e2*e4 - e1*e3*b1",
     ])
     assert got == expected
 
