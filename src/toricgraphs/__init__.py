@@ -17,15 +17,12 @@ from .grobner import (
 from .invariants import (
     FamilyInvariants,
     HilbertSeries,
-    HomologicalSummary,
-    HVector,
     betti_formula_grd,
     betti_formula_k2d,
     family_invariants,
     hilbert_enumeration_oracle,
     hilbert_formula_grd,
     hilbert_from_betti,
-    hvector_extract,
     krull_dim,
     lower_bounds_from_induced,
     minimal_generators_oracle,
@@ -33,13 +30,11 @@ from .invariants import (
 )
 from .quotients import (
     BettiTable,
-    OrderedGenerators,
     QuotientProfile,
     betti_from_linear_quotients,
     betti_taylor_oracle,
     colon_with_monomial,
     quotient_profile,
-    sort_ascending,
 )
 from .walks import (
     ClosedEvenWalk,

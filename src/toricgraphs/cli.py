@@ -2,9 +2,10 @@
 
 Every command and `verify` read their results from one `Chain`, the paper's
 method as a lazily evaluated sequence of stages: primitive walks -> reduced
-Groebner basis -> in(I_G) -> ascending generators with their quotient
+Groebner basis -> in(I_G), its generators stored ascending -> their quotient
 profile -> graded Betti numbers (-> Hilbert series).  Each stage runs at
-most once per command, on first use.
+most once per command, on first use, and each result is held only there.
+Every command that takes `--budget` rejects a negative one.
 
 Exit codes: 0 success, 1 domain/usage error, 2 verification failure
 (the math disagrees), 3 budget exhaustion.
@@ -38,7 +39,6 @@ from .invariants import (
     family_invariants,
     hilbert_enumeration_oracle,
     hilbert_from_betti,
-    hvector_extract,
     krull_dim,
     lower_bounds_from_induced,
     minimal_generators_oracle,
@@ -49,7 +49,6 @@ from .quotients import (
     betti_from_linear_quotients,
     betti_taylor_oracle,
     quotient_profile,
-    sort_ascending,
 )
 from .walks import (
     default_max_len,
@@ -114,12 +113,14 @@ class Chain:
     """The stage chain on one graph under one monomial order; each stage is cached.
 
     Walks are the closed forms on a family graph and the search's output on
-    any other.  `max_pairs` caps Buchberger's S-pairs (None: its default).
+    any other.  `budget` is the walk search's node budget; Buchberger's
+    S-pairs are capped at max(1000, budget // 50), 200,000 at the default.
     """
 
-    def __init__(self, graph: SimpleGraph, order: GrevlexOrder, budget: int, max_pairs=None):
+    def __init__(self, graph: SimpleGraph, order: GrevlexOrder, budget: int):
+        if budget < 0:
+            raise DomainError(f"--budget must be >= 0, got {budget}")
         self.graph, self.order, self.budget = graph, order, budget
-        self.cap = {} if max_pairs is None else {"max_pairs": max_pairs}
 
     def search(self, max_len=None):
         """Primitive walks found by the search, up to max_len (default: default_max_len)."""
@@ -137,7 +138,7 @@ class Chain:
 
     @functools.cached_property
     def basis(self):
-        return buchberger(self.generators, self.order, **self.cap)
+        return buchberger(self.generators, self.order, max_pairs=max(1000, self.budget // 50))
 
     @functools.cached_property
     def initial(self):
@@ -145,26 +146,24 @@ class Chain:
 
     @functools.cached_property
     def quotients(self):
-        """in(I_G)'s generators in ascending order, with their quotient profile."""
-        ordered = sort_ascending(self.initial.min_gens, self.order)
-        return ordered, quotient_profile(ordered)
+        """The quotient profile of in(I_G)'s generators in ascending order."""
+        return quotient_profile(self.initial)
 
     def betti(self, method):
         """The closed-form table of I_G (formula), or in(I_G)'s (quotients, oracle)."""
         if method == "formula":
             return _closed_forms(self.graph).betti
         if method == "quotients":
-            return betti_from_linear_quotients(*self.quotients)
+            return betti_from_linear_quotients(self.quotients)
         return betti_taylor_oracle(self.initial)
 
 
 def _chain(args) -> Chain:
-    """The chain of a command's graph, under --order if given, with the command pair cap."""
+    """The chain of a command's graph, under --order if given."""
     graph = _load_graph(args)
     spec = getattr(args, "order", None)
     priority = [s.strip() for s in spec.split(",")] if spec else None
-    return Chain(graph, default_order(graph, priority), args.budget,
-                 max_pairs=max(1000, args.budget // 100))
+    return Chain(graph, default_order(graph, priority), args.budget)
 
 
 def cmd_gen(args) -> int:
@@ -251,15 +250,15 @@ def cmd_hilbert(args) -> int:
     else:  # betti: the closed-form table of a family graph, else in(I_G)'s by Taylor
         table = chain.betti("formula" if graph.family is not None else "oracle")
         series = hilbert_from_betti(table, len(graph.edges))
-    hv = hvector_extract(series)
+    h = list(series.numerator)
     payload = {
         "method": args.method,
-        "numerator": list(series.numerator),
+        "numerator": h,
         "denominator_power": series.denom_power,
-        "h_vector": list(hv.h),
-        "unimodal": hv.unimodal,
+        "h_vector": h,
+        "unimodal": series.unimodal,
     }
-    human = f"{series}\nh-vector: {list(hv.h)}  unimodal: {hv.unimodal}"
+    human = f"{series}\nh-vector: {h}  unimodal: {series.unimodal}"
     if args.max_deg is not None:
         expansion = series.expand(args.max_deg)
         payload["expansion"] = expansion
@@ -370,7 +369,7 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
                needs="groebner-basis")
 
     def check_quotients():
-        profile = chain.quotients[1]
+        profile = chain.quotients
         return (True, list(fam.n_sequence)), (profile.linear, profile.n)
 
     report.run("linear-quotients", check_quotients, needs="initial-ideal")
@@ -409,10 +408,10 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     report.run("hilbert-enumeration", check_hilbert_enumeration)
 
     def check_summary():
-        summary = reg_pdim(fam.betti)
+        reg, pdim = reg_pdim(fam.betti)
         dim = krull_dim(graph)
         expected = (fam.reg, fam.pdim, fam.dim, True)
-        actual = (summary.reg, summary.pdim, dim, q - (summary.pdim + 1) == dim)
+        actual = (reg, pdim, dim, q - (pdim + 1) == dim)
         return expected, actual
 
     report.run("homological-summary", check_summary)
@@ -447,8 +446,8 @@ def _build_parser() -> _Parser:
         _add_graph_args(sub)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                         help="search-node budget for walk enumeration; gb, initial, betti "
-                              "and hilbert also cap Buchberger at max(1000, BUDGET // 100) S-pairs")
+                         help="search-node budget for walk enumeration (>= 0); Buchberger is "
+                              "also capped at max(1000, BUDGET // 50) S-pairs")
         if order:
             sub.add_argument("--order", help="comma-separated variable priority, highest first "
                                              "(default: the edges' declaration order)")

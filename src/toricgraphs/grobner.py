@@ -144,13 +144,9 @@ class GrevlexOrder:
 
     def __init__(self, names, priority=None):
         self.names = list(names)
-        if priority is None:
-            priority = list(self.names)
-        else:
-            priority = list(priority)
+        priority = self.names if priority is None else list(priority)
         if sorted(priority) != sorted(self.names):
             raise DomainError("order priority must be a permutation of the variable names")
-        self.priority = priority
         pos = {n: i for i, n in enumerate(self.names)}
         self._scan = tuple(pos[n] for n in reversed(priority))
 
@@ -187,7 +183,11 @@ class GrevlexOrder:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal held by its unique minimal generating set."""
+    """A monomial ideal held by its unique minimal generating set.
+
+    The generators keep the order they are given in; the public constructor
+    rejects a set that is not minimal.
+    """
 
     min_gens: tuple[Monomial, ...]
 
@@ -199,13 +199,9 @@ class MonomialIdeal:
                     raise DomainError("generating set is not minimal")
 
     @classmethod
-    def from_generators(cls, gens, order: GrevlexOrder | None = None) -> MonomialIdeal:
-        minimal = minimalize_monomials(gens)
-        if order is not None:
-            minimal.sort(key=order.key)
-        else:
-            minimal.sort(key=lambda m: (m.degree, m.exps))
-        return cls._from_minimal(minimal)
+    def from_generators(cls, gens, order: GrevlexOrder) -> MonomialIdeal:
+        """The ideal of gens, its minimal generators stored ascending under the order."""
+        return cls._from_minimal(sorted(minimalize_monomials(gens), key=order.key))
 
     @classmethod
     def _from_minimal(cls, gens) -> MonomialIdeal:
@@ -372,7 +368,8 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
 
 
 def initial_ideal(gb, order: GrevlexOrder) -> MonomialIdeal:
-    """Minimal generating set of the ideal of leading terms of a Groebner basis."""
+    """The ideal of leading terms of a Groebner basis, its minimal generators
+    stored ascending under the order."""
     leads = []
     for g in gb:
         n = order.normalize(g)

@@ -21,7 +21,10 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class HilbertSeries:
-    """Q(t) / (1-t)^denom_power with integer numerator coefficients."""
+    """Q(t) / (1-t)^denom_power with integer numerator coefficients.
+
+    In lowest terms the numerator is the h-vector.
+    """
 
     numerator: tuple[int, ...]
     denom_power: int
@@ -78,17 +81,16 @@ class HilbertSeries:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return f"({' '.join(parts)}) / (1-t)^{self.denom_power}"
 
-
-@dataclass(frozen=True)
-class HVector:
-    h: tuple[int, ...]
-    unimodal: bool
-
-
-@dataclass(frozen=True)
-class HomologicalSummary:
-    reg: int
-    pdim: int
+    @property
+    def unimodal(self) -> bool:
+        """Whether the numerator rises to a peak, then falls."""
+        h = self.numerator
+        k = 0
+        while k + 1 < len(h) and h[k + 1] >= h[k]:
+            k += 1
+        while k + 1 < len(h) and h[k + 1] <= h[k]:
+            k += 1
+        return k == len(h) - 1
 
 
 def _trim(coeffs) -> list[int]:
@@ -115,9 +117,7 @@ def betti_formula_grd(r: int, d: int) -> BettiTable:
     its initial ideal: a degree-2 strand and a degree-r strand."""
     if r < 3 or d < 2:
         raise DomainError(f"family requires r >= 3 and d >= 2, got r={r}, d={d}")
-    table = BettiTable()
-    for i in range(d - 1):
-        table.add(i, i + 2, (i + 1) * comb(d, i + 2))
+    table = betti_formula_k2d(d)
     for i in range(d):
         table.add(i, i + r, d * comb(d - 1, i))
     return table
@@ -300,16 +300,14 @@ def krull_dim(graph: SimpleGraph) -> int:
     return rational_rank(rows)
 
 
-def reg_pdim(betti: BettiTable) -> HomologicalSummary | None:
-    """Regularity and projective dimension read off a complete Betti table.
+def reg_pdim(betti: BettiTable) -> tuple[int, int] | None:
+    """(reg, pdim) read off a complete Betti table.
 
     Returns None for the empty table (the zero ideal has neither defined).
     """
     if betti.is_empty():
         return None
-    reg = max(j - i for (i, j) in betti.entries)
-    pdim = max(i for (i, _) in betti.entries)
-    return HomologicalSummary(reg=reg, pdim=pdim)
+    return max(j - i for (i, j) in betti.entries), max(i for (i, _) in betti.entries)
 
 
 def lower_bounds_from_induced(components) -> tuple[int, int]:
@@ -325,15 +323,3 @@ def lower_bounds_from_induced(components) -> tuple[int, int]:
     reg_lb = sum(r for r, _ in comps) - s + 1
     pdim_lb = sum(d for _, d in comps) - 1
     return (reg_lb, pdim_lb)
-
-
-def hvector_extract(series: HilbertSeries) -> HVector:
-    """Numerator coefficients of a lowest-terms series, with a unimodality flag
-    (rises to a peak, then falls)."""
-    h = list(series.numerator)
-    k = 0
-    while k + 1 < len(h) and h[k + 1] >= h[k]:
-        k += 1
-    while k + 1 < len(h) and h[k + 1] <= h[k]:
-        k += 1
-    return HVector(h=tuple(h), unimodal=(k == len(h) - 1))

@@ -1,6 +1,11 @@
-"""Colon ideals of ordered monomial generators, linear-quotient detection,
-the Betti-number formula for linear quotients, and an independent Taylor
-complex oracle for graded Betti numbers of monomial ideals.
+"""Colon ideals of a monomial ideal's generators in their stored order,
+linear-quotient detection, the Betti-number formula for linear quotients,
+and an independent Taylor complex oracle for graded Betti numbers of
+monomial ideals.
+
+The profile walks `MonomialIdeal.min_gens` as stored: `initial_ideal` and
+`MonomialIdeal.from_generators` store them ascending under their monomial
+order, which is the order the paper's linear quotients use.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from functools import cache
 from math import comb
 
 from .errors import BudgetError, DomainError
-from .grobner import GrevlexOrder, Monomial, MonomialIdeal, minimalize_monomials
+from .grobner import Monomial, MonomialIdeal, minimalize_monomials
 from .linalg import sparse_rational_rank
 
 # Largest generator count the Taylor oracle accepts: it visits all 2^M subsets.
@@ -18,33 +23,17 @@ TAYLOR_MAX_GENERATORS = 18
 
 
 @dataclass
-class OrderedGenerators:
-    """A minimal monomial generating set in a fixed processing order."""
-
-    gens: list[Monomial]
-
-    def __post_init__(self):
-        for i, g in enumerate(self.gens):
-            for j, h in enumerate(self.gens):
-                if i != j and g.divides(h):
-                    raise DomainError("ordered generators must be a minimal generating set")
-
-    def __len__(self):
-        return len(self.gens)
-
-
-@dataclass
 class QuotientProfile:
-    """Sizes and generators of the successive colon ideals of an ordered set.
+    """Sizes of the successive colon ideals of a generating set in stored order.
 
-    n[p] is the number of minimal generators of (m_1,...,m_p) : (m_{p+1})
-    (0-indexed; n[0] = 0 for the empty colon).  linear is True when every
-    colon ideal is generated by single variables.
+    gens is the ideal's min_gens; n[p] is the number of minimal generators
+    of (m_1,...,m_p) : (m_{p+1}) (0-indexed; n[0] = 0 for the empty colon).
+    linear is True when every colon ideal is generated by single variables.
     """
 
+    gens: tuple[Monomial, ...]
     n: list[int]
     linear: bool
-    colon_gens: list[list[Monomial]]
 
 
 class BettiTable:
@@ -82,13 +71,6 @@ class BettiTable:
         """Map i -> beta_{i,i+k} for one strand."""
         return {i: b for (i, j), b in self.entries.items() if j - i == k}
 
-    def alternating_sum_by_degree(self) -> dict[int, int]:
-        """j -> sum_i (-1)^i beta_{i,j}; the Euler characteristic per degree."""
-        out: dict[int, int] = {}
-        for (i, j), b in self.entries.items():
-            out[j] = out.get(j, 0) + (1 if i % 2 == 0 else -1) * b
-        return {j: v for j, v in out.items() if v}
-
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
 
@@ -120,45 +102,34 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def sort_ascending(gens, order: GrevlexOrder) -> OrderedGenerators:
-    """Sort a minimal generating set from least to greatest under the order."""
-    return OrderedGenerators(sorted(gens, key=order.key))
-
-
 def colon_with_monomial(prior, m: Monomial) -> MonomialIdeal:
     """Minimal generating set of (prior) : (m), via lcm(p, m)/m = max(p - m, 0) over the priors."""
     gens = [Monomial([a - b if a > b else 0 for a, b in zip(p.exps, m.exps)]) for p in prior]
     return MonomialIdeal._from_minimal(minimalize_monomials(gens))
 
 
-def quotient_profile(ordered: OrderedGenerators) -> QuotientProfile:
-    """Compute every successive colon ideal and test for linear quotients."""
+def quotient_profile(ideal: MonomialIdeal) -> QuotientProfile:
+    """Compute every successive colon ideal of ideal.min_gens, in stored
+    order, and test for linear quotients."""
+    gens = ideal.min_gens
     n: list[int] = []
-    colon_gens: list[list[Monomial]] = []
     linear = True
-    for p, m in enumerate(ordered.gens):
-        colon = colon_with_monomial(ordered.gens[:p], m)
-        gens = list(colon.min_gens)
-        n.append(len(gens))
-        colon_gens.append(gens)
-        if any(g.degree != 1 for g in gens):
-            linear = False
-    return QuotientProfile(n=n, linear=linear, colon_gens=colon_gens)
+    for p, m in enumerate(gens):
+        colon = colon_with_monomial(gens[:p], m).min_gens
+        n.append(len(colon))
+        linear = linear and all(g.degree == 1 for g in colon)
+    return QuotientProfile(gens=gens, n=n, linear=linear)
 
 
-def betti_from_linear_quotients(
-    ordered: OrderedGenerators, profile: QuotientProfile
-) -> BettiTable:
+def betti_from_linear_quotients(profile: QuotientProfile) -> BettiTable:
     """Graded Betti numbers of an ideal with linear quotients.
 
     beta_{i,i+j} = sum over generators of degree j of C(n_p, i).
     """
     if not profile.linear:
         raise DomainError("generators do not have linear quotients; formula inapplicable")
-    if len(profile.n) != len(ordered.gens):
-        raise DomainError("profile does not match the generator list")
     table = BettiTable()
-    for m, np in zip(ordered.gens, profile.n):
+    for m, np in zip(profile.gens, profile.n):
         j = m.degree
         for i in range(np + 1):
             table.add(i, i + j, comb(np, i))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,16 @@ def test_walks_budget_exhaustion_exit_code(capsys):
     code, _, err = invoke(capsys, "walks", "--grd", "3", "4", "--budget", "5")
     assert code == 3
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize("command", [
+    ["walks"], ["gb"], ["initial"], ["betti", "--method", "quotients"],
+    ["hilbert", "--method", "enumerate"], ["verify"],
+])
+def test_negative_budget_rejected(capsys, command):
+    code, out, err = invoke(capsys, *command, "--grd", "3", "2", "--budget", "-5")
+    assert (code, out) == (1, "")
+    assert err == "error: --budget must be >= 0, got -5\n"
 
 
 def test_gb_text_g32(capsys):
@@ -470,3 +484,18 @@ def test_missing_graph_file(capsys):
     code, _, err = invoke(capsys, "gb", "--graph", "/nonexistent/g.json")
     assert code == 1
     assert "cannot read" in err
+
+
+def test_console_entry_point(capsys):
+    # Reaches main() through `python -m toricgraphs.cli`: argv, stdout and exit code.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def main(*argv):
+        return subprocess.run([sys.executable, "-m", "toricgraphs.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = main("verify", "--grd", "3", "2", "--json")
+    assert done.returncode == 0
+    assert done.stdout == invoke(capsys, "verify", "--grd", "3", "2", "--json")[1]
+    assert main("verify", "--k2d", "1").returncode == 1
+    assert main("walks", "--grd", "3", "4", "--budget", "5").returncode == 3

@@ -6,15 +6,18 @@ from toricgraphs import (
     BudgetError,
     DomainError,
     Binomial,
+    Edge,
     GrevlexOrder,
     Monomial,
     build_grd,
     build_k2d,
     buchberger,
     default_order,
+    enumerate_primitive_walks,
     grd_primitive_walks,
     initial_ideal,
     reduce,
+    SimpleGraph,
     s_binomial,
     walk_to_binomial,
 )
@@ -351,6 +354,36 @@ def test_family_leading_terms_squarefree(r, d):
     gb = buchberger([walk_to_binomial(w) for w in grd_primitive_walks(r, d)], order)
     for g in gb:
         assert g.lhs.is_squarefree()
+
+
+def initial_of(graph, walks, priority=None):
+    order = default_order(graph, priority)
+    return order, initial_ideal(buchberger([walk_to_binomial(w) for w in walks], order), order)
+
+
+@pytest.mark.parametrize("graph, priority", [
+    (build_grd(3, 5), None),
+    (build_k2d(6), None),
+    (build_grd(3, 3), build_grd(3, 3).edge_names[::-1]),
+], ids=["G35", "K26", "G33-reversed"])
+def test_initial_ideal_stores_generators_ascending(graph, priority):
+    # The quotient profile walks min_gens as stored, so they must ascend.
+    order, initial = initial_of(graph, family_primitive_walks(graph), priority)
+    assert list(initial.min_gens) == sorted(initial.min_gens, key=order.key)
+
+
+def test_initial_ideal_stores_generators_ascending_on_atlas_graphs():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for g in nx.graph_atlas_g():
+        if not 0 < g.number_of_edges() <= 7 or not nx.is_connected(g):
+            continue
+        graph = SimpleGraph([f"v{v}" for v in g.nodes],
+                            [Edge(f"x{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(g.edges)])
+        order, initial = initial_of(graph, enumerate_primitive_walks(graph))
+        assert list(initial.min_gens) == sorted(initial.min_gens, key=order.key)
+        checked += len(initial) > 1
+    assert checked
 
 
 def test_initial_ideal_minimalizes_redundant_leads():

@@ -17,7 +17,6 @@ from toricgraphs import (
     hilbert_enumeration_oracle,
     hilbert_formula_grd,
     hilbert_from_betti,
-    hvector_extract,
     krull_dim,
     lower_bounds_from_induced,
     minimal_generators_oracle,
@@ -296,16 +295,16 @@ def test_krull_dim_odd_cycle_full_rank():
 
 def test_reg_pdim_family_tables():
     for (r, d) in [(3, 2), (3, 5), (4, 3), (5, 5)]:
-        summary = reg_pdim(betti_formula_grd(r, d))
-        assert summary.reg == r
-        assert summary.pdim == d - 1
+        reg, pdim = reg_pdim(betti_formula_grd(r, d))
+        assert reg == r
+        assert pdim == d - 1
 
 
 def test_reg_pdim_k2d():
     for d in range(2, 7):
-        summary = reg_pdim(betti_formula_k2d(d))
-        assert summary.reg == 2
-        assert summary.pdim == d - 2
+        reg, pdim = reg_pdim(betti_formula_k2d(d))
+        assert reg == 2
+        assert pdim == d - 2
 
 
 def test_reg_pdim_single_entry_and_empty():
@@ -317,8 +316,8 @@ def test_reg_pdim_single_entry_and_empty():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_auslander_buchsbaum_identity(r, d):
     q = 2 * d + 2 * r - 2
-    summary = reg_pdim(betti_formula_grd(r, d))
-    assert q - (summary.pdim + 1) == krull_dim(build_grd(r, d))
+    _, pdim = reg_pdim(betti_formula_grd(r, d))
+    assert q - (pdim + 1) == krull_dim(build_grd(r, d))
 
 
 def test_lower_bounds():
@@ -340,22 +339,22 @@ def test_lower_bounds_validation():
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_family_hvector(r, d):
-    hv = hvector_extract(hilbert_formula_grd(r, d))
-    assert hv.h == (1,) + (d,) * (r - 1)
-    assert hv.unimodal
+    series = hilbert_formula_grd(r, d)
+    assert series.numerator == (1,) + (d,) * (r - 1)
+    assert series.unimodal
 
 
 def test_hvector_trivial():
-    hv = hvector_extract(HilbertSeries((1,), 4))
-    assert hv.h == (1,)
-    assert hv.unimodal
+    series = HilbertSeries((1,), 4)
+    assert series.numerator == (1,)
+    assert series.unimodal
 
 
 def test_hvector_unimodality_scan():
-    assert hvector_extract(HilbertSeries((1, 3, 2), 1)).unimodal
-    assert hvector_extract(HilbertSeries((1, 1, -1), 0)).unimodal  # rise then fall
-    assert not hvector_extract(HilbertSeries((1, -1, 1), 0)).unimodal  # valley
-    assert not hvector_extract(HilbertSeries((2, 1, 2), 0)).unimodal
+    assert HilbertSeries((1, 3, 2), 1).unimodal
+    assert HilbertSeries((1, 1, -1), 0).unimodal  # rise then fall
+    assert not HilbertSeries((1, -1, 1), 0).unimodal  # valley
+    assert not HilbertSeries((2, 1, 2), 0).unimodal
 
 
 # ---------------------------------------------------------------------------
