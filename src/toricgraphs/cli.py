@@ -241,7 +241,7 @@ def cmd_hilbert(args) -> int:
         raise DomainError(f"--max-deg must be >= 0, got {args.max_deg}")
     if args.method == "enumerate":
         max_deg = args.max_deg if args.max_deg is not None else 4
-        dims = hilbert_enumeration_oracle(graph, max_deg)
+        dims = hilbert_enumeration_oracle(graph, max_deg, args.budget)
         payload = {"method": "enumerate", "dimensions": dims}
         _emit(args, payload, " ".join(str(x) for x in dims))
         return EXIT_OK
@@ -391,7 +391,7 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
         top = max(expected)
         for j in range(2, top + 1):
             expected.setdefault(j, 0)
-        return expected, minimal_generators_oracle(graph, top)
+        return expected, minimal_generators_oracle(graph, top, budget)
 
     report.run("toric-generator-degrees", check_toric_generators)
 
@@ -401,11 +401,8 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
         return (fam.hilbert.numerator, fam.hilbert.denom_power), (series.numerator, series.denom_power)
 
     report.run("hilbert-from-betti", check_hilbert_formula)
-
-    def check_hilbert_enumeration():
-        return series.expand(4), hilbert_enumeration_oracle(graph, 4)
-
-    report.run("hilbert-enumeration", check_hilbert_enumeration)
+    report.run("hilbert-enumeration", lambda: (series.expand(4),
+                                               hilbert_enumeration_oracle(graph, 4, budget)))
 
     def check_summary():
         reg, pdim = reg_pdim(fam.betti)
@@ -447,7 +444,8 @@ def _build_parser() -> _Parser:
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                          help="search-node budget for walk enumeration (>= 0); Buchberger is "
-                              "also capped at max(1000, BUDGET // 50) S-pairs")
+                              "also capped at max(1000, BUDGET // 50) S-pairs, and the "
+                              "enumeration oracles at BUDGET monomials per degree")
         if order:
             sub.add_argument("--order", help="comma-separated variable priority, highest first "
                                              "(default: the edges' declaration order)")

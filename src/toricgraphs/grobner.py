@@ -11,27 +11,32 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import le
+from itertools import compress
+from operator import add, le, sub
 
 from .errors import BudgetError, DomainError
 from .graphs import SimpleGraph
 
+# 1 << i at index i; Monomial extends it to the longest exponent vector seen.
+_BITS = [1 << i for i in range(64)]
+
 
 class Monomial:
-    """Immutable dense exponent vector over a fixed variable universe."""
+    """Immutable dense exponent vector over a fixed variable universe.
 
-    __slots__ = ("exps", "_support")
+    `degree` (the exponent sum) and `support` (the bitmask of the variables
+    with a nonzero exponent) are computed once, at construction, and held in
+    slots beside the exponents.
+    """
+
+    __slots__ = ("exps", "degree", "support")
 
     def __init__(self, exps):
-        self.exps = tuple(exps)
-        self._support = None
-
-    @property
-    def support(self) -> int:
-        """Bitmask of the variables with a positive exponent, computed on first use."""
-        if self._support is None:
-            self._support = sum(1 << i for i, e in enumerate(self.exps) if e)
-        return self._support
+        self.exps = exps = tuple(exps)
+        self.degree = sum(exps)
+        if len(exps) > len(_BITS):
+            _BITS.extend(1 << i for i in range(len(_BITS), len(exps)))
+        self.support = sum(compress(_BITS, exps))
 
     @classmethod
     def from_variables(cls, nvars: int, positions) -> Monomial:
@@ -41,27 +46,23 @@ class Monomial:
             exps[p] += 1
         return cls(exps)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
     def is_one(self) -> bool:
-        return all(e == 0 for e in self.exps)
+        return not self.support
 
     def __mul__(self, other: Monomial) -> Monomial:
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
+        return Monomial(map(add, self.exps, other.exps))
 
     def divides(self, other: Monomial) -> bool:
         return not self.support & ~other.support and all(map(le, self.exps, other.exps))
 
     def __truediv__(self, other: Monomial) -> Monomial:
-        exps = tuple(a - b for a, b in zip(self.exps, other.exps))
-        if any(e < 0 for e in exps):
+        exps = tuple(map(sub, self.exps, other.exps))
+        if min(exps, default=0) < 0:
             raise DomainError("inexact monomial division")
         return Monomial(exps)
 
     def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
+        return Monomial(map(max, self.exps, other.exps))
 
     def gcd_is_one(self, other: Monomial) -> bool:
         return not self.support & other.support
@@ -294,10 +295,11 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
     for f in generators:
         if not f.is_homogeneous():
             raise DomainError("buchberger requires homogeneous binomial input")
-        g = order.normalize(f)
-        if g is not None and not any(g.same_up_to_sign(h) for h in basis):
-            basis.append(g)
+        basis.append(order.normalize(f))
+    # Two normalized binomials equal up to sign are equal: keep the first of each.
+    basis = [g for g in dict.fromkeys(basis) if g is not None]
 
+    leads = [g.lhs.support for g in basis]  # lead supports, parallel to basis
     queue: list[tuple] = []
     treated: set[tuple[int, int]] = set()
     processed = 0
@@ -327,11 +329,10 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
         # pairs were already treated.
         skip = False
         outside = ~big.support
-        for k, h in enumerate(basis):
-            lt = h.lhs
-            if lt.support & outside or k == i or k == j:
+        for k, lead in enumerate(leads):
+            if lead & outside or k == i or k == j:
                 continue
-            if lt.divides(big):
+            if basis[k].lhs.divides(big):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in treated and pjk in treated:
@@ -347,6 +348,7 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
         if r is None:
             continue
         basis.append(r)
+        leads.append(r.lhs.support)
         add_pairs(len(basis) - 1)
 
     # Minimalize: keep only elements whose leading term no other kept leading

@@ -2,13 +2,15 @@
 enumeration/linear-algebra oracles that cross-check them.
 
 All polynomial arithmetic is over exact integers; (1-t) factors are removed
-by synthetic division which asserts a zero remainder.
+by synthetic division which asserts a zero remainder.  The enumeration
+oracles pack each vertex image into one int; the Hilbert oracle counts
+sumsets of images, the generator oracle sorts packed edge monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, groupby
 from math import comb
 
 from .errors import BudgetError, ConsistencyError, DomainError
@@ -209,29 +211,15 @@ def _check_enumeration_budget(q: int, max_deg: int, budget: int) -> None:
                               f"over the budget {budget}")
 
 
-def _fibers(graph: SimpleGraph, max_deg: int, budget: int):
-    """For each degree 1..max_deg, a dict from vertex image to the edge-support
-    bitmasks of the edge monomials with that image (one entry per monomial).
-
-    The budget is checked for every degree before anything is enumerated.  An
-    image is packed into one int with a field per vertex wide enough to hold
-    max_deg, the largest exponent a vertex reaches in a loop-free graph.
-    """
-    q = len(graph.edges)
-    _check_enumeration_budget(q, max_deg, budget)
+def _packed_images(graph: SimpleGraph, max_deg: int, budget: int) -> list[int]:
+    """Each edge's vertex image as one int, after the budget is checked for
+    every degree <= max_deg.  A field per vertex holds max_deg, the largest
+    exponent a vertex reaches in a loop-free graph, so packed images add as
+    vectors and equal images have equal ints up to that degree."""
+    _check_enumeration_budget(len(graph.edges), max_deg, budget)
     width = max_deg.bit_length()
-    images = [sum(x << (v * width) for v, x in enumerate(graph.edge_vertex_exponents(e)))
-              for e in range(q)]
-    bits = [1 << e for e in range(q)]
-    for deg in range(1, max_deg + 1):
-        fibers: dict[int, list[int]] = {}
-        for combo in combinations_with_replacement(range(q), deg):
-            image = support = 0
-            for e in combo:
-                image += images[e]
-                support |= bits[e]
-            fibers.setdefault(image, []).append(support)
-        yield fibers
+    return [sum(x << (v * width) for v, x in enumerate(graph.edge_vertex_exponents(e)))
+            for e in range(len(graph.edges))]
 
 
 def hilbert_enumeration_oracle(
@@ -239,11 +227,17 @@ def hilbert_enumeration_oracle(
 ) -> list[int]:
     """Graded dimensions of the edge subring, counted by brute force.
 
-    Degree i of the quotient by the toric ideal is spanned by the distinct
-    monomial images of degree-i edge monomials under e -> (product of its
+    Degree k of the quotient by the toric ideal is spanned by the distinct
+    vertex images of degree-k edge monomials under e -> (product of its
     endpoints), so counting distinct images gives the dimension exactly.
+    The images of degree k are the sumset D_k = D_{k-1} + D_1.
     """
-    return [1] + [len(fibers) for fibers in _fibers(graph, max_deg, budget)]
+    ones = set(_packed_images(graph, max_deg, budget))
+    dims, level = [1], {0}
+    for _ in range(max_deg):
+        level = {x + y for x in level for y in ones}
+        dims.append(len(level))
+    return dims
 
 
 def minimal_generators_oracle(
@@ -260,19 +254,29 @@ def minimal_generators_oracle(
     N - c to dim(R_1 * I_{j-1}), c being the number of such components.  The
     count dim I_j - dim(R_1 * I_{j-1}) is therefore the sum of c - 1 over
     the fibers.
+
+    An edge monomial is one int, its packed image above the q bits of its
+    edge support.  Degree j extends each degree-(j-1) monomial by each edge e
+    no smaller than its largest edge: add e's image, set bit e.  Sorted, a
+    fiber is a run of ints, so no per-fiber container is held.
     """
     if max_deg < 2:
         raise DomainError("max_deg must be at least 2")
+    images = _packed_images(graph, max_deg, budget)
+    q = len(images)
+    lifted = [img << q for img in images]
+    # by_last[e]: the current degree's monomials whose largest edge is e
+    by_last = [[img | (1 << e)] for e, img in enumerate(lifted)]
+    support_mask = (1 << q) - 1
     out: dict[int, int] = {}
-    for deg, fibers in enumerate(_fibers(graph, max_deg, budget), start=1):
-        if deg == 1:
-            continue
+    for deg in range(2, max_deg + 1):
+        by_last = [[(x + lifted[e]) | (1 << e) for f in range(e + 1) for x in by_last[f]]
+                   for e in range(q)]
         count = 0
-        for supports in fibers.values():
-            if len(supports) < 2:
-                continue
+        for _, run in groupby(sorted(chain.from_iterable(by_last)), q.__rrshift__):  # x >> q
             components: list[int] = []  # disjoint unions of the members' supports
-            for s in supports:
+            for s in run:
+                s &= support_mask
                 rest = []
                 for c in components:
                     if c & s:

@@ -11,8 +11,9 @@ order, which is the order the paper's linear quotients use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import comb
+from operator import or_
 
 from .errors import BudgetError, DomainError
 from .grobner import Monomial, MonomialIdeal, minimalize_monomials
@@ -110,11 +111,25 @@ def colon_with_monomial(prior, m: Monomial) -> MonomialIdeal:
 
 def quotient_profile(ideal: MonomialIdeal) -> QuotientProfile:
     """Compute every successive colon ideal of ideal.min_gens, in stored
-    order, and test for linear quotients."""
+    order, and test for linear quotients.
+
+    Squarefree generators take a bitmask test first: (m_1,...,m_{k-1}) : (m_k)
+    is generated by the variable sets c_j = supp(m_j) & ~supp(m_k), none empty
+    as the generators are minimal.  With S_k the union of the one-variable
+    c_j, the colon is generated by variables exactly when every c_j meets S_k,
+    and then n_k = |S_k|.  Every other colon is computed by colon_with_monomial.
+    """
     gens = ideal.min_gens
+    masks = [m.support for m in gens] if all(m.is_squarefree() for m in gens) else None
     n: list[int] = []
     linear = True
     for p, m in enumerate(gens):
+        if masks is not None:
+            cs = [c & ~masks[p] for c in masks[:p]]
+            singles = reduce(or_, (c for c in cs if not c & (c - 1)), 0)
+            if all(c & singles for c in cs):
+                n.append(singles.bit_count())
+                continue
         colon = colon_with_monomial(gens[:p], m).min_gens
         n.append(len(colon))
         linear = linear and all(g.degree == 1 for g in colon)

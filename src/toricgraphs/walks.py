@@ -119,9 +119,9 @@ def minimal_closed_even_walks(
     revisit no vertex at even distance.
 
     Such a revisit splits a walk into two closed even walks, so the walk is
-    not primitive (see decomposes_at_basepoint); the result still holds every
-    primitive walk up to max_len, which is all is_primitive needs.  On a
-    bipartite graph it is exactly the even cycles.  The depth-first search
+    not primitive; the result still holds every primitive walk up to
+    max_len, which is all is_primitive needs.  On a bipartite graph it is
+    exactly the even cycles.  The depth-first search
     cuts a branch at such a revisit; the step back to the start at even
     length records the walk.  The first edge carries the minimum edge
     position used anywhere in the walk, which rules out most rotated
@@ -236,22 +236,3 @@ def default_max_len(graph: SimpleGraph) -> int:
     if graph.family is not None:
         return 4 if graph.family.r is None else 2 * graph.family.r
     return max(4, 2 * len(graph.edges))
-
-
-def decomposes_at_basepoint(walk: ClosedEvenWalk) -> bool:
-    """True if some rotation splits into two consecutive closed even walks.
-
-    Such walks are never primitive.  Used as an independent structural check
-    on enumeration output.
-    """
-    seq = walk.edge_names
-    n = len(seq)
-    for k in range(n):
-        rotated = ClosedEvenWalk(
-            walk.graph, seq[k:] + seq[:k], start=walk.vertices[k]
-        )
-        base = rotated.vertices[0]
-        for cut in range(2, n, 2):
-            if rotated.vertices[cut] == base:
-                return True
-    return False

@@ -114,6 +114,17 @@ def test_walks_budget_exhaustion_exit_code(capsys):
     assert "budget" in err.lower()
 
 
+def test_hilbert_enumeration_budget_exhaustion_exit_code(capsys):
+    # --budget caps the monomials per degree; G(3,2) has 8 edges, so degree 1 needs 8.
+    code, out, err = invoke(capsys, "hilbert", "--grd", "3", "2", "--method", "enumerate",
+                            "--budget", "0", "--json")
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: degree 1 needs 8 monomials, over the budget 0\n"
+    code, out, _ = invoke(capsys, "hilbert", "--grd", "3", "2", "--method", "enumerate",
+                          "--budget", "330", "--json")
+    assert code == 0 and json.loads(out)["dimensions"] == [1, 8, 35, 110, 280]
+
+
 @pytest.mark.parametrize("command", [
     ["walks"], ["gb"], ["initial"], ["betti", "--method", "quotients"],
     ["hilbert", "--method", "enumerate"], ["verify"],
@@ -379,6 +390,10 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses.pop("primitive-walks") == "budget"
     assert sorted(statuses) == sorted(VERIFY_CHECKS[1:])
+    # --budget also caps the enumeration oracles' monomials per degree, and
+    # G(3,3) needs 55 in degree 2, so both run out too.
+    assert statuses.pop("toric-generator-degrees") == "budget"
+    assert statuses.pop("hilbert-enumeration") == "budget"
     assert set(statuses.values()) == {"pass"}
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10")
     assert code == 3

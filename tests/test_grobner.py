@@ -60,6 +60,28 @@ def test_monomial_operations():
         _ = v / u
 
 
+def support_reference(exps):
+    return sum(1 << i for i, e in enumerate(exps) if e)
+
+
+def test_monomial_slot_fields():
+    # 200 variables is longer than any precomputed bit table.
+    rng = random.Random(11)
+    vectors = [(), (0,), (0,) * 7, (0,) * 200]
+    vectors += [tuple(1 if k == i else 0 for k in range(n)) for n in (1, 30, 64, 65, 200) for i in range(n)]
+    vectors += [tuple(rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(n))
+                for n in (1, 3, 40, 63, 64, 65, 130, 200) for _ in range(40)]
+    for exps in vectors:
+        m = Monomial(exps)
+        assert m.degree == sum(exps)
+        assert m.support == support_reference(exps)
+        assert m.is_one() == (not any(exps))
+    for u, v in zip(vectors[-40:-20], vectors[-20:]):  # both of length 200
+        u, v = Monomial(u), Monomial(v)
+        for m in (u * v, u.lcm(v), (u * v) / v):
+            assert (m.degree, m.support) == (sum(m.exps), support_reference(m.exps))
+
+
 def test_minimalize_monomials():
     u = Monomial((1, 1, 0))
     v = Monomial((1, 1, 1))

@@ -23,6 +23,7 @@ from toricgraphs import (
     parse_graph,
     reg_pdim,
 )
+from toricgraphs.graphs import SimpleGraph
 from toricgraphs.invariants import quotient_numerator_from_betti
 from toricgraphs.linalg import sparse_rational_rank
 
@@ -195,7 +196,8 @@ def test_enumeration_budget_checked_before_enumerating(monkeypatch, oracle):
     def refuse(*args):
         raise AssertionError("enumerated before checking the budget")
 
-    monkeypatch.setattr("toricgraphs.invariants.combinations_with_replacement", refuse)
+    # Every enumeration starts from the edges' vertex images.
+    monkeypatch.setattr(SimpleGraph, "edge_vertex_exponents", refuse)
     with pytest.raises(BudgetError, match=r"^degree 3 needs 220 monomials, over the budget 100$"):
         oracle(build_grd(3, 3), 4, budget=100)
 
@@ -263,6 +265,73 @@ def test_packed_images_hold_max_deg(max_deg):
     assert path.vertices == ["a", "b", "c", "d", "e"]
     assert hilbert_enumeration_oracle(path, max_deg) == [comb(k + 3, 3) for k in range(max_deg + 1)]
     assert minimal_generators_oracle(path, max_deg) == {j: 0 for j in range(2, max_deg + 1)}
+
+
+def fibers_reference(graph, deg):
+    """The brute-force fiber pass: vertex image -> the edge supports of the
+    degree-deg edge monomials with that image, one entry per monomial."""
+    q = len(graph.edges)
+    images = [graph.edge_vertex_exponents(e) for e in range(q)]
+    fibers = {}
+    for combo in combinations_with_replacement(range(q), deg):
+        image = tuple(map(sum, zip(*(images[e] for e in combo))))
+        fibers.setdefault(image, []).append(sum(1 << e for e in set(combo)))
+    return fibers
+
+
+def oracles_reference(graph, max_deg):
+    """(graded dimensions, generator counts) from fibers_reference: a fiber
+    adds c - 1 generators, c its components under sharing an edge."""
+    dims, counts = [1], {}
+    for deg in range(1, max_deg + 1):
+        fibers = fibers_reference(graph, deg)
+        dims.append(len(fibers))
+        count = 0
+        for supports in fibers.values():
+            components = []
+            for s in supports:
+                rest = []
+                for c in components:
+                    if c & s:
+                        s |= c
+                    else:
+                        rest.append(c)
+                components = rest + [s]
+            count += len(components) - 1
+        if deg >= 2:
+            counts[deg] = count
+    return dims, counts
+
+
+def test_oracles_match_fiber_reference_on_atlas():
+    nx = pytest.importorskip("networkx")
+    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
+              if 0 < g.number_of_edges() <= 7 and nx.is_connected(g)]
+    assert len(graphs) == 108
+    for g in graphs:
+        dims, counts = oracles_reference(g, 6)
+        assert hilbert_enumeration_oracle(g, 6) == dims, g.edges
+        assert minimal_generators_oracle(g, 6) == counts, g.edges
+
+
+@pytest.mark.parametrize("graph", [build_grd(3, d) for d in range(2, 6)] + [build_k2d(d) for d in range(3, 9)],
+                         ids=lambda g: repr(g.family))
+def test_oracles_match_fiber_reference_on_families(graph):
+    dims, counts = oracles_reference(graph, 5)
+    assert hilbert_enumeration_oracle(graph, 5) == dims
+    assert minimal_generators_oracle(graph, 5) == counts
+
+
+def test_generator_oracle_refuses_g812_before_enumerating(monkeypatch):
+    # G(8,12) has 38 edges: degree 7 needs C(44, 7) = 38,320,568 monomials.
+    graph = build_grd(8, 12)
+
+    def refuse(*args):
+        raise AssertionError("enumerated before checking the budget")
+
+    monkeypatch.setattr(SimpleGraph, "edge_vertex_exponents", refuse)
+    with pytest.raises(BudgetError, match=r"^degree 7 needs 38320568 monomials"):
+        minimal_generators_oracle(graph, 7)
 
 
 def test_minimal_generators_validation():

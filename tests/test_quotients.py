@@ -13,6 +13,7 @@ from toricgraphs import (
     betti_from_linear_quotients,
     betti_taylor_oracle,
     build_grd,
+    build_k2d,
     buchberger,
     colon_with_monomial,
     default_order,
@@ -22,8 +23,10 @@ from toricgraphs import (
     quotient_profile,
     walk_to_binomial,
 )
-from toricgraphs.grobner import format_monomial
+from toricgraphs import quotients as quotients_module
+from toricgraphs.grobner import format_monomial, minimalize_monomials
 from toricgraphs.invariants import quotient_numerator_from_betti
+from toricgraphs.walks import family_primitive_walks
 
 
 def mono(order, text):
@@ -124,6 +127,87 @@ def test_profile_disjoint_supports_not_linear():
     assert not profile.linear
     assert profile.n == [0, 1]
     assert colon_with_monomial(ideal.min_gens[:1], ideal.min_gens[1]).min_gens == (mono(order, "x*y"),)
+
+
+def reference_colons(ideal):
+    """The minimal generators of every colon of the profile, by the full colon loop."""
+    gens = ideal.min_gens
+    return [colon_with_monomial(gens[:p], m).min_gens for p, m in enumerate(gens)]
+
+
+def profile_reference(ideal):
+    """(n, linear) from the full colon loop."""
+    colons = reference_colons(ideal)
+    return [len(c) for c in colons], all(g.degree == 1 for c in colons for g in c)
+
+
+@pytest.fixture
+def colon_calls(monkeypatch):
+    """The monomials quotient_profile passes to colon_with_monomial, in call order."""
+    calls = []
+
+    def counted(prior, m):
+        calls.append(m)
+        return colon_with_monomial(prior, m)
+
+    monkeypatch.setattr(quotients_module, "colon_with_monomial", counted)
+    return calls
+
+
+def family_initial_ideals():
+    for d in range(3, 9):
+        graph = build_k2d(d)
+        order = default_order(graph)
+        gb = buchberger([walk_to_binomial(w) for w in family_primitive_walks(graph)], order)
+        yield initial_ideal(gb, order)
+    for d in range(2, 6):
+        yield family_initial(3, d)[1]
+
+
+def test_profile_mask_test_matches_colon_loop_on_family_initial_ideals(colon_calls):
+    for ideal in family_initial_ideals():
+        profile = quotient_profile(ideal)
+        assert (profile.n, profile.linear) == profile_reference(ideal)
+        assert profile.linear and colon_calls == []  # every colon took the mask test
+
+
+def test_profile_mask_test_matches_colon_loop_on_random_squarefree_ideals(colon_calls):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {True: 0, False: 0}
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.integers(1, 2**7 - 1), min_size=1, max_size=14), st.randoms())
+    def check(masks, rng):
+        gens = minimalize_monomials(Monomial([(x >> i) & 1 for i in range(7)]) for x in masks)
+        rng.shuffle(gens)
+        for ideal in (MonomialIdeal(tuple(gens)), MonomialIdeal.from_generators(gens, GrevlexOrder("abcdefg"))):
+            colon_calls.clear()
+            n, linear = profile_reference(ideal)
+            profile = quotient_profile(ideal)
+            assert (profile.n, profile.linear) == (n, linear)
+            # Only the colons not generated by variables fall back to the loop.
+            assert len(colon_calls) == sum(1 for c in reference_colons(ideal) if any(g.degree > 1 for g in c))
+            seen[linear] += 1
+
+    check()
+    assert seen[True] > 50 and seen[False] > 50, seen
+
+
+@pytest.mark.parametrize("gens", [
+    ["x^2", "x*y", "y^2", "x*z", "y*z", "z^2"],  # (x,y,z)^2: linear, not squarefree
+    ["x^2", "x*y", "y^3"],
+    ["x*y", "z^2", "x*z"],
+    ["x^2*y", "x*y*z", "y^2*z", "z^3"],
+])
+def test_profile_non_squarefree_takes_the_colon_loop(colon_calls, gens):
+    order = GrevlexOrder(["x", "y", "z"])
+    for ideal in (MonomialIdeal(tuple(mono(order, g) for g in gens)),
+                  MonomialIdeal.from_generators([mono(order, g) for g in gens], order)):
+        colon_calls.clear()
+        profile = quotient_profile(ideal)
+        assert (profile.n, profile.linear) == profile_reference(ideal)
+        assert colon_calls == list(ideal.min_gens)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,25 @@ from toricgraphs import (
     parse_graph,
     walk_to_binomial,
 )
-from toricgraphs.walks import decomposes_at_basepoint
+
+
+def decomposes_at_basepoint(walk: ClosedEvenWalk) -> bool:
+    """True if some rotation splits into two consecutive closed even walks.
+
+    Such walks are never primitive: an independent structural check on
+    enumeration output.
+    """
+    seq = walk.edge_names
+    n = len(seq)
+    for k in range(n):
+        rotated = ClosedEvenWalk(
+            walk.graph, seq[k:] + seq[:k], start=walk.vertices[k]
+        )
+        base = rotated.vertices[0]
+        for cut in range(2, n, 2):
+            if rotated.vertices[cut] == base:
+                return True
+    return False
 
 
 def path_graph(n):
