@@ -247,7 +247,7 @@ def cmd_hilbert(args) -> int:
         return EXIT_OK
     if args.method == "formula":
         series = _closed_forms(graph).hilbert
-    else:  # betti: the closed-form table of a family graph, else in(I_G)'s by Taylor
+    else:  # betti: the closed-form table of a family graph, else in(I_G)'s by the Lyubeznik oracle
         table = chain.betti("formula" if graph.family is not None else "oracle")
         series = hilbert_from_betti(table, len(graph.edges))
     h = list(series.numerator)
@@ -358,14 +358,14 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     def walk_classes(walks):
         return sorted(w.canonical_form() for w in walks)
 
-    def binomial_keys(binomials):
-        return sorted((order.key(f.lhs), order.key(f.rhs)) for f in binomials)
+    def readable(fmt, items):
+        return sorted(fmt(x, order.names) for x in items)
 
     report.run("primitive-walks", lambda: (walk_classes(chain.walks), walk_classes(chain.search())))
-    report.run("groebner-basis", lambda: (binomial_keys(map(order.normalize, chain.generators)),
-                                          binomial_keys(chain.basis)))
-    report.run("initial-ideal", lambda: (sorted(m.exps for m in family_initial_generators(graph)),
-                                         sorted(m.exps for m in chain.initial.min_gens)),
+    report.run("groebner-basis", lambda: (readable(format_binomial, map(order.normalize, chain.generators)),
+                                          readable(format_binomial, chain.basis)))
+    report.run("initial-ideal", lambda: (readable(format_monomial, family_initial_generators(graph)),
+                                         readable(format_monomial, chain.initial.min_gens)),
                needs="groebner-basis")
 
     def check_quotients():
@@ -379,7 +379,7 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     if "initial-ideal" not in report.unfinished and len(chain.initial) > TAYLOR_MAX_GENERATORS:
         report.notes.append(
             f"betti-taylor-oracle skipped: {len(chain.initial)} generators exceed"
-            f" the 2^{TAYLOR_MAX_GENERATORS} subset cap"
+            f" the {TAYLOR_MAX_GENERATORS}-generator cap"
         )
     else:
         report.run("betti-taylor-oracle", lambda: (fam.betti.entries, chain.betti("oracle").entries),

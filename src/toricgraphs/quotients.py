@@ -1,7 +1,7 @@
 """Colon ideals of a monomial ideal's generators in their stored order,
 linear-quotient detection, the Betti-number formula for linear quotients,
-and an independent Taylor complex oracle for graded Betti numbers of
-monomial ideals.
+and an independent oracle for graded Betti numbers of monomial ideals: the
+homology of Lyubeznik's subcomplex of the Taylor complex.
 
 The profile walks `MonomialIdeal.min_gens` as stored: `initial_ideal` and
 `MonomialIdeal.from_generators` store them ascending under their monomial
@@ -19,7 +19,7 @@ from .errors import BudgetError, DomainError
 from .grobner import Monomial, MonomialIdeal, minimalize_monomials
 from .linalg import sparse_rational_rank
 
-# Largest generator count the Taylor oracle accepts: it visits all 2^M subsets.
+# Generator cap of the Taylor oracle: a complete intersection admits all 2^M subsets.
 TAYLOR_MAX_GENERATORS = 18
 
 
@@ -154,22 +154,27 @@ def betti_from_linear_quotients(profile: QuotientProfile) -> BettiTable:
 def betti_taylor_oracle(
     ideal: MonomialIdeal, max_generators: int = TAYLOR_MAX_GENERATORS
 ) -> BettiTable:
-    """Graded Betti numbers by Taylor-complex homology; independent of any
-    quotient structure.
+    """Graded Betti numbers by homology of the Lyubeznik subcomplex of the
+    Taylor complex; independent of any quotient structure.
 
     The Taylor complex on generators m_1..m_M has one free module generator
-    per subset S, in multidegree lcm(S).  Tensoring the resolution of the
-    ideal with the residue field keeps exactly the differential terms that
-    preserve the multidegree label, so the complex splits per multidegree
-    and beta_{i, alpha} is the homology dimension of the size-(i+1) layer of
-    the alpha slice, computed here by exact rank counting.
+    per subset S, in multidegree lcm(S).  Lyubeznik's resolution (J. Pure
+    Appl. Algebra 51, 1988; Peeva, Graded Syzygies, 2011) keeps the subsets
+    {i_1 < ... < i_k} where no m_q with q < i_t divides lcm(m_{i_t}..m_{i_k}),
+    for every t; they are grown from the largest index down, so a failed
+    tail prunes its branch, and they are closed under taking subsets.  It
+    is a multigraded resolution, so tensoring it with the residue field
+    keeps exactly the differential terms that preserve the lcm label: the
+    complex splits per multidegree and beta_{i, alpha} is the homology
+    dimension of the size-(i+1) layer of the alpha slice, by exact ranks.
 
     Each multidegree is held as an int thermometer code: exponent e is the
     field (1 << e) - 1 of w bits, w the largest exponent, with variable 0 in
-    the highest field.  Then lcm(S) is the bitwise OR of the codes and its
-    degree is the bit count.  Comparing codes as ints compares exponent
-    vectors lexicographically, so the slices are visited, and the table
-    entries inserted, in (size, exponent vector) order.
+    the highest field.  Then lcm(S) is the bitwise OR of the codes, m_q
+    divides it when code_q & ~lcm == 0, and its degree is the bit count.
+    Comparing codes as ints compares exponent vectors lexicographically, so
+    the slices are visited, and the table entries inserted, in (size,
+    exponent vector) order.
     """
     gens = list(ideal.min_gens)
     M = len(gens)
@@ -181,20 +186,25 @@ def betti_taylor_oracle(
     if M == 0:
         return table
     w = max((e for g in gens for e in g.exps), default=0)
-    code_of = {}
-    for b, g in enumerate(gens):
+    codes = []
+    for g in gens:
         code = 0
         for e in g.exps:
             code = (code << w) | ((1 << e) - 1)
-        code_of[1 << b] = code
+        codes.append(code)
 
-    # lcm code of every subset, and the subsets grouped by (size, lcm code).
-    lcms = [0] * (1 << M)
+    # lcm code of every admissible subset, and those subsets grouped by (size, lcm code).
+    lcms: dict[int, int] = {}
     groups: dict[tuple[int, int], list[int]] = {}
-    for mask in range(1, 1 << M):
-        low = mask & -mask
-        lcms[mask] = alpha = lcms[mask ^ low] | code_of[low]
+    stack = [(1 << b, code, b) for b, code in enumerate(codes)]
+    while stack:
+        mask, alpha, first = stack.pop()
+        lcms[mask] = alpha
         groups.setdefault((mask.bit_count(), alpha), []).append(mask)
+        for i in range(first):
+            lcm = alpha | codes[i]
+            if all(c & ~lcm for c in codes[:i]):
+                stack.append((mask | 1 << i, lcm, i))
 
     @cache
     def boundary_rank(k: int, alpha: int) -> int:

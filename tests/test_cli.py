@@ -429,6 +429,10 @@ def test_verify_json_schema(capsys):
     assert doc["status"] == "pass"
     assert all(c["status"] == "pass" for c in doc["checks"])
     assert {"name", "status", "expected", "actual"} == set(doc["checks"][0])
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["initial-ideal"]["actual"] == "['a1*e2*e4', 'a2*b1', 'a2*e2*e4']"
+    assert checks["groebner-basis"]["actual"] == (
+        "['a1*e2*e4 - e1*e3*b1', 'a2*b1 - a1*b2', 'a2*e2*e4 - e1*e3*b2']")
 
 
 def test_verify_k2d(capsys):
@@ -450,7 +454,7 @@ def test_verify_notes_the_taylor_cap(capsys):
     code, out, _ = invoke(capsys, "verify", "--k2d", "7", "--json")
     doc = json.loads(out)
     assert (code, doc["status"]) == (0, "pass")
-    assert doc["notes"] == ["betti-taylor-oracle skipped: 21 generators exceed the 2^18 subset cap"]
+    assert doc["notes"] == ["betti-taylor-oracle skipped: 21 generators exceed the 18-generator cap"]
     assert "betti-taylor-oracle" not in [c["name"] for c in doc["checks"]]
 
 
