@@ -25,7 +25,7 @@ import json
 import sys
 import time
 
-from .errors import BudgetError, ConsistencyError, DomainError, ParseError
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, ParseError
 from .graphs import SimpleGraph, build_grd, build_k2d, parse_graph, serialize_graph
 from .grobner import (
     GrevlexOrder,
@@ -62,8 +62,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
-
-DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 class UsageError(Exception):
@@ -442,10 +440,11 @@ def _build_parser() -> _Parser:
     def common(sub, order=False):
         _add_graph_args(sub)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
-        sub.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="search-node budget for walk enumeration (>= 0); Buchberger is "
-                              "also capped at max(1000, BUDGET // 50) S-pairs, and the "
-                              "enumeration oracles at BUDGET monomials per degree")
+                              "also capped at max(1000, BUDGET // 50) S-pairs, the generator "
+                              "oracle at BUDGET walk-search nodes and BUDGET steps per fiber, "
+                              "and the Hilbert oracle at BUDGET monomials per degree")
         if order:
             sub.add_argument("--order", help="comma-separated variable priority, highest first "
                                              "(default: the edges' declaration order)")

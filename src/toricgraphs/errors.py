@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types and the default search budget.
 
 The CLI maps these onto its exit-code taxonomy: DomainError (and its
 ParseError subclass) -> 1, ConsistencyError -> 2, BudgetError -> 3.
 """
+
+DEFAULT_BUDGET = 10_000_000  # every search's and enumeration's default cap
 
 
 class DomainError(ValueError):

@@ -70,9 +70,6 @@ class SimpleGraph:
     def edge_names(self) -> list[str]:
         return [e.name for e in self.edges]
 
-    def degree(self, vertex: str) -> int:
-        return sum(1 for e in self.edges if vertex in e.ends)
-
     def adjacency(self):
         """Per-vertex list of (edge position, neighbour vertex), in edge order."""
         adj = {v: [] for v in self.vertices}

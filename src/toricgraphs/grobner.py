@@ -46,9 +46,6 @@ class Monomial:
             exps[p] += 1
         return cls(exps)
 
-    def is_one(self) -> bool:
-        return not self.support
-
     def __mul__(self, other: Monomial) -> Monomial:
         return Monomial(map(add, self.exps, other.exps))
 
@@ -170,9 +167,6 @@ class GrevlexOrder:
     def key(self, m: Monomial):
         """Sort key; ascending key order is ascending monomial order."""
         return (m.degree, tuple(-m.exps[i] for i in self._scan))
-
-    def leading(self, f: Binomial) -> Monomial:
-        return f.lhs if self.compare(f.lhs, f.rhs) >= 0 else f.rhs
 
     def normalize(self, f: Binomial) -> Binomial | None:
         """Leading monomial first; None for the zero binomial."""

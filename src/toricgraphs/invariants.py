@@ -2,23 +2,22 @@
 enumeration/linear-algebra oracles that cross-check them.
 
 All polynomial arithmetic is over exact integers; (1-t) factors are removed
-by synthetic division which asserts a zero remainder.  The enumeration
-oracles pack each vertex image into one int; the Hilbert oracle counts
-sumsets of images, the generator oracle sorts packed edge monomials.
+by synthetic division which asserts a zero remainder.  The Hilbert oracle
+packs each vertex image into one int and counts sumsets of images; the
+generator oracle enumerates only the fibers at the vertex images of closed
+even walks, the only degrees where minimal generators can lie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
 from math import comb
 
-from .errors import BudgetError, ConsistencyError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError
 from .graphs import FamilyTag, SimpleGraph
 from .linalg import rational_rank
 from .quotients import BettiTable
-
-DEFAULT_ENUM_BUDGET = 10_000_000
+from .walks import minimal_closed_even_walks
 
 
 @dataclass(frozen=True)
@@ -203,27 +202,24 @@ def hilbert_from_betti(betti: BettiTable, num_vars: int) -> HilbertSeries:
     return HilbertSeries(tuple(coeffs), num_vars).lowest_terms()
 
 
-def _check_enumeration_budget(q: int, max_deg: int, budget: int) -> None:
-    """Refuse, before enumerating anything, if some degree <= max_deg has too many monomials."""
+def _packed_images(graph: SimpleGraph, max_deg: int, budget: int) -> list[int]:
+    """Each edge's vertex image as one int, after refusing, before enumerating
+    anything, if some degree <= max_deg has more than `budget` monomials.  A
+    field per vertex holds max_deg, the largest exponent a vertex reaches in
+    a loop-free graph, so packed images add as vectors and equal images have
+    equal ints up to that degree."""
+    q = len(graph.edges)
     for deg in range(1, max_deg + 1):
         if comb(q + deg - 1, deg) > budget:
             raise BudgetError(f"degree {deg} needs {comb(q + deg - 1, deg)} monomials, "
                               f"over the budget {budget}")
-
-
-def _packed_images(graph: SimpleGraph, max_deg: int, budget: int) -> list[int]:
-    """Each edge's vertex image as one int, after the budget is checked for
-    every degree <= max_deg.  A field per vertex holds max_deg, the largest
-    exponent a vertex reaches in a loop-free graph, so packed images add as
-    vectors and equal images have equal ints up to that degree."""
-    _check_enumeration_budget(len(graph.edges), max_deg, budget)
     width = max_deg.bit_length()
     return [sum(x << (v * width) for v, x in enumerate(graph.edge_vertex_exponents(e)))
-            for e in range(len(graph.edges))]
+            for e in range(q)]
 
 
 def hilbert_enumeration_oracle(
-    graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_ENUM_BUDGET
+    graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_BUDGET
 ) -> list[int]:
     """Graded dimensions of the edge subring, counted by brute force.
 
@@ -240,53 +236,76 @@ def hilbert_enumeration_oracle(
     return dims
 
 
+def _fiber(ends, image, budget: int) -> list[int]:
+    """The edge supports (bit e for edge e) of the edge monomials with vertex
+    image `image`, one per monomial; `image` must be the image of some edge
+    monomial, so that each vertex it uses has an edge inside its support.
+    Backtracking picks the exponent of each such edge in turn, and a vertex
+    must be used up by its last edge.  More than `budget` steps raise
+    BudgetError."""
+    need = list(image)
+    edges = [(e, u, v) for e, (u, v) in enumerate(ends) if need[u] and need[v]]
+    last = {x: i for i, (_, u, v) in enumerate(edges) for x in (u, v)}
+    supports: list[int] = []
+    steps = 0
+
+    def place(i, support):
+        nonlocal steps
+        if i == len(edges):
+            supports.append(support)
+            return
+        e, u, v = edges[i]
+        for k in range(min(need[u], need[v]) + 1):
+            steps += 1
+            if steps > budget:
+                raise BudgetError(f"a fiber of degree {sum(image) // 2} exceeded the step budget of {budget}")
+            need[u] -= k
+            need[v] -= k
+            if not (last[u] == i and need[u] or last[v] == i and need[v]):
+                place(i + 1, support | (1 << e) if k else support)
+            need[u] += k
+            need[v] += k
+
+    place(0, 0)
+    return supports
+
+
 def minimal_generators_oracle(
-    graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_ENUM_BUDGET
+    graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
     """Minimal generator counts of the toric ideal per degree, 2..max_deg,
-    from the fibers of the edge map.
+    from the fibers of the edge map at the vertex images of closed even walks.
 
-    I_j is spanned by the differences of degree-j edge monomials with equal
-    vertex image, so a fiber of N monomials adds N - 1 to dim I_j.  Within a
-    fiber, u - u' lies in R_1 * I_{j-1} exactly when u and u' are joined by
-    a chain of fiber members in which neighbours share a variable (if x_e
-    divides u and u', then u/x_e - u'/x_e is in I_{j-1}), so the fiber adds
-    N - c to dim(R_1 * I_{j-1}), c being the number of such components.  The
-    count dim I_j - dim(R_1 * I_{j-1}) is therefore the sum of c - 1 over
-    the fibers.
-
-    An edge monomial is one int, its packed image above the q bits of its
-    edge support.  Degree j extends each degree-(j-1) monomial by each edge e
-    no smaller than its largest edge: add e's image, set bit e.  Sorted, a
-    fiber is a run of ints, so no per-fiber container is held.
+    A fiber is the set of edge monomials with one vertex image b.  The ideal
+    has c - 1 minimal generators in degree b, c being the fiber's components
+    when members that share a variable are joined: if x_e divides u and u',
+    then u - u' = x_e (u/x_e - u'/x_e) comes from lower degrees.  Every
+    minimal binomial generator is primitive, since the universal Markov
+    basis lies in the Graver basis (Charalambous-Katsabekis-Thoma, Proc. AMS
+    2007), and the primitive binomials are those of primitive even closed
+    walks (Villarreal, Comm. Algebra 1995; Ohsugi-Hibi, J. Algebra 1999).
+    So the images of the walks of length <= 2*max_deg, a superset of the
+    primitive ones, hold every b that carries a generator.  `budget` caps
+    the walk search's nodes and each fiber's steps.
     """
     if max_deg < 2:
         raise DomainError("max_deg must be at least 2")
-    images = _packed_images(graph, max_deg, budget)
-    q = len(images)
-    lifted = [img << q for img in images]
-    # by_last[e]: the current degree's monomials whose largest edge is e
-    by_last = [[img | (1 << e)] for e, img in enumerate(lifted)]
-    support_mask = (1 << q) - 1
-    out: dict[int, int] = {}
-    for deg in range(2, max_deg + 1):
-        by_last = [[(x + lifted[e]) | (1 << e) for f in range(e + 1) for x in by_last[f]]
-                   for e in range(q)]
-        count = 0
-        for _, run in groupby(sorted(chain.from_iterable(by_last)), q.__rrshift__):  # x >> q
-            components: list[int] = []  # disjoint unions of the members' supports
-            for s in run:
-                s &= support_mask
-                rest = []
-                for c in components:
-                    if c & s:
-                        s |= c
-                    else:
-                        rest.append(c)
-                rest.append(s)
-                components = rest
-            count += len(components) - 1
-        out[deg] = count
+    walks = minimal_closed_even_walks(graph, 2 * max_deg, budget)
+    images = {tuple(map(w.vertices[1:].count, graph.vertices)) for w in walks}
+    ends = [tuple(graph.vertex_index[x] for x in e.ends) for e in graph.edges]
+    out = dict.fromkeys(range(2, max_deg + 1), 0)
+    for image in images:
+        components: list[int] = []  # disjoint unions of the members' supports
+        for s in _fiber(ends, image, budget):
+            rest = []
+            for c in components:
+                if c & s:
+                    s |= c
+                else:
+                    rest.append(c)
+            rest.append(s)
+            components = rest
+        out[sum(image) // 2] += len(components) - 1
     return out
 
 

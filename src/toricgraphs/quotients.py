@@ -64,14 +64,6 @@ class BettiTable:
     def items(self):
         return sorted(self.entries.items())
 
-    def strands(self) -> set[int]:
-        """The set of j - i over nonzero entries."""
-        return {j - i for (i, j) in self.entries}
-
-    def strand(self, k: int) -> dict[int, int]:
-        """Map i -> beta_{i,i+k} for one strand."""
-        return {i: b for (i, j), b in self.entries.items() if j - i == k}
-
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
 

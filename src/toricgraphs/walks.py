@@ -13,11 +13,9 @@ of its edge-name sequence.
 
 from __future__ import annotations
 
-from .errors import BudgetError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetError, DomainError
 from .graphs import SimpleGraph, build_grd
 from .grobner import Binomial, Monomial
-
-DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class ClosedEvenWalk:
@@ -48,10 +46,6 @@ class ClosedEvenWalk:
             if ok:
                 last_error = "walk does not return to its starting vertex"
         raise DomainError(last_error or "invalid walk")
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_names)
 
     def canonical_form(self) -> tuple[str, ...]:
         seq = self.edge_names
@@ -113,7 +107,7 @@ def is_primitive(walk: ClosedEvenWalk, candidates) -> bool:
 
 
 def minimal_closed_even_walks(
-    graph: SimpleGraph, max_len: int, node_budget: int = DEFAULT_NODE_BUDGET
+    graph: SimpleGraph, max_len: int, node_budget: int = DEFAULT_BUDGET
 ) -> list[ClosedEvenWalk]:
     """Minimal closed even walks of length <= max_len, one per class, that
     revisit no vertex at even distance.
@@ -168,7 +162,7 @@ def minimal_closed_even_walks(
 
 
 def enumerate_primitive_walks(
-    graph: SimpleGraph, max_len: int | None = None, node_budget: int = DEFAULT_NODE_BUDGET
+    graph: SimpleGraph, max_len: int | None = None, node_budget: int = DEFAULT_BUDGET
 ) -> list[ClosedEvenWalk]:
     """One canonical representative per primitive walk class of length <= max_len.
 

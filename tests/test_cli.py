@@ -390,8 +390,9 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses.pop("primitive-walks") == "budget"
     assert sorted(statuses) == sorted(VERIFY_CHECKS[1:])
-    # --budget also caps the enumeration oracles' monomials per degree, and
-    # G(3,3) needs 55 in degree 2, so both run out too.
+    # --budget also caps the generator oracle's walk search and the Hilbert
+    # oracle's monomials per degree (G(3,3) needs 55 in degree 2), so both
+    # run out too.
     assert statuses.pop("toric-generator-degrees") == "budget"
     assert statuses.pop("hilbert-enumeration") == "budget"
     assert set(statuses.values()) == {"pass"}

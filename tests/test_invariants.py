@@ -68,7 +68,7 @@ def test_betti_formula_g42():
 
 @pytest.mark.parametrize("r,d", [(3, 2), (4, 4), (5, 6), (6, 3)])
 def test_betti_formula_strands(r, d):
-    assert betti_formula_grd(r, d).strands() <= {2, r}
+    assert {j - i for (i, j) in betti_formula_grd(r, d).entries} <= {2, r}
 
 
 def test_betti_formula_domain_errors():
@@ -89,7 +89,10 @@ def test_betti_k2d_values():
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_k2d_strand_equals_family_linear_strand(r, d):
-    assert betti_formula_k2d(d).strand(2) == betti_formula_grd(r, d).strand(2)
+    def linear_strand(table):
+        return {i: b for (i, j), b in table.entries.items() if j - i == 2}
+
+    assert linear_strand(betti_formula_k2d(d)) == linear_strand(betti_formula_grd(r, d))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ def test_enumeration_budget():
         hilbert_enumeration_oracle(build_grd(3, 5), 6, budget=100)
 
 
-@pytest.mark.parametrize("oracle", [hilbert_enumeration_oracle, minimal_generators_oracle])
+@pytest.mark.parametrize("oracle", [hilbert_enumeration_oracle])
 def test_enumeration_budget_checked_before_enumerating(monkeypatch, oracle):
     # G(3,3) has 10 edges: degrees 1 and 2 fit in the budget, degree 3 (220) does not.
     def refuse(*args):
@@ -218,6 +221,8 @@ def test_minimal_generators_tree():
 def test_minimal_generators_even_cycle():
     # a single 6-cycle: the toric ideal is principal, generated in degree 3
     assert minimal_generators_oracle(cycle_graph(6), 4) == {2: 0, 3: 1, 4: 0}
+    # at max_deg 3 the walk of length exactly 2 * max_deg must be found
+    assert minimal_generators_oracle(cycle_graph(6), 3) == {2: 0, 3: 1}
 
 
 def rank_reference(graph, max_deg):
@@ -322,16 +327,24 @@ def test_oracles_match_fiber_reference_on_families(graph):
     assert minimal_generators_oracle(graph, 5) == counts
 
 
-def test_generator_oracle_refuses_g812_before_enumerating(monkeypatch):
-    # G(8,12) has 38 edges: degree 7 needs C(44, 7) = 38,320,568 monomials.
-    graph = build_grd(8, 12)
+def test_generator_oracle_g812():
+    # G(8,12) has 38 edges, so degree 7 alone has C(44, 7) = 38,320,568 edge
+    # monomials; only the 78 fibers at the vertex images of its walks are
+    # enumerated.
+    expected = {j: 0 for j in range(2, 9)} | {2: 66, 8: 12}
+    assert minimal_generators_oracle(build_grd(8, 12), 8) == expected
 
-    def refuse(*args):
-        raise AssertionError("enumerated before checking the budget")
 
-    monkeypatch.setattr(SimpleGraph, "edge_vertex_exponents", refuse)
-    with pytest.raises(BudgetError, match=r"^degree 7 needs 38320568 monomials"):
-        minimal_generators_oracle(graph, 7)
+def test_generator_oracle_budget_caps_walk_search_and_each_fiber():
+    # The triangle to degree 3: the walk search takes 11 nodes to find the
+    # doubled triangle, and the fiber at its vertex image u0^2 u1^2 u2^2,
+    # whose one member is f0 f1 f2, takes 13 steps.
+    graph = cycle_graph(3)
+    with pytest.raises(BudgetError, match=r"^walk search exceeded the node budget of 10$"):
+        minimal_generators_oracle(graph, 3, budget=10)
+    with pytest.raises(BudgetError, match=r"^a fiber of degree 3 exceeded the step budget of 12$"):
+        minimal_generators_oracle(graph, 3, budget=12)
+    assert minimal_generators_oracle(graph, 3, budget=13) == {2: 0, 3: 0}
 
 
 def test_minimal_generators_validation():

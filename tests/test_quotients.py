@@ -89,7 +89,7 @@ def test_colon_path_generator_middle_case():
 def test_colon_with_dividing_prior_is_unit_ideal():
     order = GrevlexOrder(["x", "y"])
     colon = colon_with_monomial([mono(order, "x")], mono(order, "x*y"))
-    assert [g.is_one() for g in colon.min_gens] == [True]
+    assert [g.degree for g in colon.min_gens] == [0]
 
 
 def test_colon_generators_multiply_back_into_prior():
@@ -478,7 +478,7 @@ def test_oracle_degree_zero_row_counts_generators():
 def test_family_strands_limited_to_two_degrees(r, d):
     order, ideal = family_initial(r, d)
     table = betti_from_linear_quotients(quotient_profile(ideal))
-    assert table.strands() <= {2, r}
+    assert {j - i for (i, j) in table.entries} <= {2, r}
 
 
 # ---------------------------------------------------------------------------

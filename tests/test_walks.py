@@ -264,7 +264,7 @@ def test_bowtie_double_triangle_walks():
     g = bowtie_graph()
     walks = enumerate_primitive_walks(g)
     assert len(walks) == 2
-    assert all(w.length == 6 for w in walks)
+    assert all(len(w.edge_names) == 6 for w in walks)
     f1, f2 = (walk_to_binomial(w) for w in walks)
     assert f1.same_up_to_sign(f2)
     # the doubled single triangle has a zero binomial, so it is excluded
@@ -277,10 +277,10 @@ def test_enumeration_deterministic_order():
     g = build_grd(3, 3)
     walks = enumerate_primitive_walks(g, 6)
     assert walks == enumerate_primitive_walks(g, 6)
-    lengths = [w.length for w in walks]
+    lengths = [len(w.edge_names) for w in walks]
     assert lengths == sorted(lengths)
     for a, b in zip(walks, walks[1:]):
-        if a.length == b.length:
+        if len(a.edge_names) == len(b.edge_names):
             assert a.canonical_form() < b.canonical_form()
 
 
@@ -301,10 +301,10 @@ def test_max_len_validation():
 def test_k33_walks_are_the_even_cycles():
     g = k33_graph()
     walks = minimal_closed_even_walks(g, 2 * len(g.edges))
-    assert sorted(w.length for w in walks) == [4] * 9 + [6] * 6
+    assert sorted(len(w.edge_names) for w in walks) == [4] * 9 + [6] * 6
     candidates = [walk_to_binomial(w) for w in walks]
     for w in walks:
-        assert len(set(w.vertices[:-1])) == w.length  # a cycle: no vertex repeats
+        assert len(set(w.vertices[:-1])) == len(w.edge_names)  # a cycle: no vertex repeats
         assert is_primitive(w, candidates)
 
 
