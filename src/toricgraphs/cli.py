@@ -385,10 +385,9 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
 
     def check_toric_generators():
         # Row 0 of the closed-form table counts I_G's minimal generators by degree.
-        expected = {j: b for (i, j), b in fam.betti.items() if i == 0}
-        top = max(expected)
-        for j in range(2, top + 1):
-            expected.setdefault(j, 0)
+        row0 = {j: b for (i, j), b in fam.betti.items() if i == 0}
+        top = max(row0)
+        expected = {j: row0.get(j, 0) for j in range(2, top + 1)}
         return expected, minimal_generators_oracle(graph, top, budget)
 
     report.run("toric-generator-degrees", check_toric_generators)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce as _fold
 from itertools import compress
-from operator import add, le, sub
+from operator import add, le, not_, or_, sub
 
 from .errors import BudgetError, DomainError
 from .graphs import SimpleGraph
@@ -166,7 +167,7 @@ class GrevlexOrder:
 
     def key(self, m: Monomial):
         """Sort key; ascending key order is ascending monomial order."""
-        return (m.degree, tuple(-m.exps[i] for i in self._scan))
+        return (m.degree, tuple([-m.exps[i] for i in self._scan]))
 
     def normalize(self, f: Binomial) -> Binomial | None:
         """Leading monomial first; None for the zero binomial."""
@@ -218,6 +219,55 @@ def minimalize_monomials(gens) -> list[Monomial]:
     return kept
 
 
+def _swap(m: Monomial, old: Monomial, new: Monomial) -> Monomial:
+    """m / old * new in one step; old must divide m."""
+    return Monomial(map(add, map(sub, m.exps, old.exps), new.exps))
+
+
+def _positions(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Leads:
+    """Lead index: a basis's normalized, nonzero binomials in list order.
+    Bit k stands for `basis[k]`, so the lowest set bit is the first in list
+    order; `holders[v]` masks the positions whose leading term uses variable
+    v, and `live` those a search may return."""
+
+    __slots__ = ("basis", "holders", "live")
+
+    def __init__(self, basis, order: GrevlexOrder):
+        self.basis: list[Binomial] = []
+        self.holders = [0] * order.nvars
+        self.live = 0
+        for g in map(order.normalize, basis):
+            if g is not None:
+                self.append(g)
+
+    def append(self, g: Binomial) -> None:
+        bit = 1 << len(self.basis)
+        self.basis.append(g)
+        self.live |= bit
+        for v in compress(range(len(self.holders)), g.lhs.exps):
+            self.holders[v] |= bit
+
+    def inside(self, m: Monomial) -> int:
+        """The live positions whose leading term uses only variables of m."""
+        return self.live & ~_fold(or_, compress(self.holders, map(not_, m.exps)), 0)
+
+    def divisor(self, m: Monomial) -> Binomial | None:
+        """The first live element in list order whose leading term divides m."""
+        for k in _positions(self.inside(m)):
+            g = self.basis[k]
+            if g.lhs.divides(m):
+                return g
+        return None
+
+
 def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder) -> Binomial | None:
     """S-polynomial of two pure-difference binomials; None if it is zero."""
     f = order.normalize(f)
@@ -225,8 +275,8 @@ def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder) -> Binomial | None
     if f is None or g is None:
         return None
     big = f.lhs.lcm(g.lhs)
-    a = (big / f.lhs) * f.rhs
-    b = (big / g.lhs) * g.rhs
+    a = _swap(big, f.lhs, f.rhs)
+    b = _swap(big, g.lhs, g.rhs)
     if a == b:
         return None
     # S(f,g) = (big/lt f)*f - (big/lt g)*g = b - a
@@ -238,29 +288,19 @@ def reduce(f: Binomial, basis, order: GrevlexOrder) -> Binomial | None:
 
     Deterministic: each step divides by the first basis element (in list
     order) whose leading term divides the monomial under reduction.  Both
-    monomials of the remainder are irreducible.  A basis element is
-    normalized only when one of its sides divides that monomial; zero
-    binomials never divide.
+    monomials of the remainder are irreducible.  The basis may list
+    elements tail-first and may hold zero binomials: each call normalizes
+    it once into a lead index, which drops the zero binomials and finds
+    the first divisor in list order as the lowest set bit of a bitmask.
     """
-
-    def divisor(m):
-        outside = ~m.support
-        for g in basis:
-            if g.lhs.support & outside and g.rhs.support & outside:
-                continue
-            if g.lhs.divides(m) or g.rhs.divides(m):
-                g = order.normalize(g)
-                if g is not None and g.lhs.divides(m):
-                    return g
-        return None
-
+    divisor = (basis if isinstance(basis, _Leads) else _Leads(basis, order)).divisor
     cur = order.normalize(f)
     if cur is None:
         return None
     while True:
         g = divisor(cur.lhs)
         if g is not None:
-            hit = (cur.lhs / g.lhs) * g.rhs
+            hit = _swap(cur.lhs, g.lhs, g.rhs)
             if hit == cur.rhs:
                 return None
             cur = order.normalize(Binomial(hit, cur.rhs))
@@ -268,7 +308,7 @@ def reduce(f: Binomial, basis, order: GrevlexOrder) -> Binomial | None:
         g = divisor(cur.rhs)
         if g is None:
             return cur
-        hit = (cur.rhs / g.lhs) * g.rhs
+        hit = _swap(cur.rhs, g.lhs, g.rhs)
         if hit == cur.lhs:
             return None
         cur = order.normalize(Binomial(cur.lhs, hit))
@@ -284,6 +324,12 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
     formed coprime or processed.  Output is interreduced, sign-normalized
     (leading monomial in lhs), and sorted ascending by (degree, leading term,
     trailing term).
+
+    The basis sits in a lead index: a new element's coprime pairs are the
+    earlier positions outside its variables' holders, and the chain
+    criterion and each reduction step visit only the positions whose
+    leading term lies inside the monomial at hand.  Tail reduction masks
+    the element's own position out of one index over the minimal basis.
     """
     basis: list[Binomial] = []
     for f in generators:
@@ -291,26 +337,27 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
             raise DomainError("buchberger requires homogeneous binomial input")
         basis.append(order.normalize(f))
     # Two normalized binomials equal up to sign are equal: keep the first of each.
-    basis = [g for g in dict.fromkeys(basis) if g is not None]
-
-    leads = [g.lhs.support for g in basis]  # lead supports, parallel to basis
+    index = _Leads([g for g in dict.fromkeys(basis) if g is not None], order)
+    basis = index.basis
     queue: list[tuple] = []
-    treated: set[tuple[int, int]] = set()
+    below: list[int] = []  # below[j]: the positions i < j whose pair (i, j) is treated
     processed = 0
+
+    def treated(i, k):
+        return below[max(i, k)] >> min(i, k) & 1
 
     def add_pairs(j):
         nonlocal processed
         lj = basis[j].lhs
-        for i in range(j):
-            li = basis[i].lhs
-            if li.gcd_is_one(lj):
-                treated.add((i, j))
-                processed += 1
-            else:
-                big = li.lcm(lj)
-                heapq.heappush(queue, (big.degree, order.key(big), i, j, big))
+        earlier = (1 << j) - 1
+        shared = _fold(or_, compress(index.holders, lj.exps), 0) & earlier
+        below.append(earlier & ~shared)
+        processed += j - shared.bit_count()
         if processed > max_pairs:
             raise BudgetError(f"buchberger exceeded the pair budget of {max_pairs}")
+        for i in _positions(shared):
+            big = basis[i].lhs.lcm(lj)
+            heapq.heappush(queue, (big.degree, order.key(big), i, j, big))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -321,42 +368,34 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
             raise BudgetError(f"buchberger exceeded the pair budget of {max_pairs}")
         # Chain criterion: skip if some k has lt_k | lcm and both flanking
         # pairs were already treated.
-        skip = False
-        outside = ~big.support
-        for k, lead in enumerate(leads):
-            if lead & outside or k == i or k == j:
-                continue
-            if basis[k].lhs.divides(big):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in treated and pjk in treated:
-                    skip = True
-                    break
-        treated.add((i, j))
+        skip = any(
+            basis[k].lhs.divides(big) and treated(i, k) and treated(j, k)
+            for k in _positions(index.inside(big) & ~(1 << i | 1 << j))
+        )
+        below[j] |= 1 << i
         if skip:
             continue
         s = s_binomial(basis[i], basis[j], order)
         if s is None:
             continue
-        r = reduce(s, basis, order)
+        r = reduce(s, index, order)
         if r is None:
             continue
-        basis.append(r)
-        leads.append(r.lhs.support)
+        index.append(r)
         add_pairs(len(basis) - 1)
 
     # Minimalize: keep only elements whose leading term no other kept leading
     # term divides, scanning in ascending leading-term order.
-    basis.sort(key=lambda g: (order.key(g.lhs), order.key(g.rhs)))
-    minimal: list[Binomial] = []
-    for g in basis:
-        if not any(h.lhs.divides(g.lhs) for h in minimal):
-            minimal.append(g)
+    index = _Leads((), order)
+    for g in sorted(basis, key=lambda g: (order.key(g.lhs), order.key(g.rhs))):
+        if index.divisor(g.lhs) is None:
+            index.append(g)
     # Tail-reduce each element against the others.
+    minimal, others = index.basis, index.live
     reduced: list[Binomial] = []
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = reduce(g, others, order) if others else g
+        index.live = others & ~(1 << i)
+        r = reduce(g, index, order) if index.live else g
         if r is not None:
             reduced.append(r)
     reduced.sort(key=lambda g: (g.degree, order.key(g.lhs), order.key(g.rhs)))

@@ -451,6 +451,14 @@ def test_verify_taylor_entry_order_pinned(capsys):
     assert check["actual"] == "{(0, 2): 3, (0, 3): 3, (1, 3): 2, (1, 4): 6, (2, 5): 3}"
 
 
+def test_verify_generator_degrees_print_in_degree_order(capsys):
+    # Row 0 of G(4,4) skips degree 3, so the expected zero must sit between 2 and 4.
+    code, out, _ = invoke(capsys, "verify", "--grd", "4", "4", "--json")
+    assert code == 0
+    (check,) = [c for c in json.loads(out)["checks"] if c["name"] == "toric-generator-degrees"]
+    assert check["expected"] == check["actual"] == "{2: 6, 3: 0, 4: 4}"
+
+
 def test_verify_notes_the_taylor_cap(capsys):
     code, out, _ = invoke(capsys, "verify", "--k2d", "7", "--json")
     doc = json.loads(out)

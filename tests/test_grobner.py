@@ -229,6 +229,18 @@ def test_reduce_normalizes_basis_elements_it_uses():
             assert reduce(f, mixed, order) == reduce(f, gb, order)
 
 
+def test_reduce_divides_by_the_earliest_of_two_dividing_leads():
+    # Both x and x*y divide the lead x*y of the target.  Dividing by x - u
+    # leaves z^2 - u*y; dividing by x*y - v^2 leaves z^2 - v^2.
+    order = GrevlexOrder(["x", "y", "z", "u", "v"])
+    f, g = bino(order, "x", "u"), bino(order, "x*y", "v^2")
+    target = bino(order, "x*y", "z^2")
+    assert reduce(target, [f, g], order) == bino(order, "z^2", "u*y")
+    assert reduce(target, [-f, g], order) == bino(order, "z^2", "u*y")
+    assert reduce(target, [g, f], order) == bino(order, "z^2", "v^2")
+    assert reduce(target, [-g, -f], order) == bino(order, "z^2", "v^2")
+
+
 # ---------------------------------------------------------------------------
 # Buchberger
 
@@ -334,6 +346,45 @@ def test_buchberger_completes_partial_generating_set():
     for s in (s_binomial(x, y, order) for x in out for y in out):
         if s is not None:
             assert reduce(s, out, order) is None
+
+
+def _scan_reduce(f, basis, order):
+    """Division by the first basis element in list order whose lead divides,
+    found by scanning the list: an oracle that shares no code with the
+    lead index."""
+    cur = order.normalize(f)
+    while cur is not None:
+        for side, other in ((cur.lhs, cur.rhs), (cur.rhs, cur.lhs)):
+            g = next((g for g in map(order.normalize, basis)
+                      if g is not None and g.lhs.divides(side)), None)
+            if g is not None:
+                hit = (side / g.lhs) * g.rhs
+                cur = None if hit == other else order.normalize(Binomial(hit, other))
+                break
+        else:
+            return cur
+    return None
+
+
+def test_buchberger_output_is_reduced_on_atlas_graphs():
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for g in nx.graph_atlas_g():
+        if not 0 < g.number_of_edges() <= 7 or not nx.is_connected(g):
+            continue
+        graph = SimpleGraph([f"v{v}" for v in g.nodes],
+                            [Edge(f"x{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(g.edges)])
+        order = default_order(graph)
+        out = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
+        for h in out:
+            assert order.normalize(h) == h
+            assert _scan_reduce(h, [x for x in out if x is not h], order) == h
+        for k, f in enumerate(out):
+            for h in out[:k]:
+                s = s_binomial(f, h, order)
+                assert s is None or _scan_reduce(s, out, order) is None
+        checked += len(out) > 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------
