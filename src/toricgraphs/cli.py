@@ -267,10 +267,13 @@ def cmd_hilbert(args) -> int:
 
 def cmd_bounds(args) -> int:
     try:
-        parsed = ast.literal_eval(f"[{args.components}]")
-        comps = [(int(r), int(d)) for r, d in parsed]
+        comps = [(r, d) for r, d in ast.literal_eval(f"[{args.components}]")]
+        if not all(type(x) is int for comp in comps for x in comp):
+            raise ValueError("entries must be int literals")
     except (ValueError, SyntaxError, TypeError) as exc:
-        raise DomainError(f'cannot parse --components {args.components!r}: expected "(r1,d1),(r2,d2),..."') from exc
+        raise DomainError(
+            f'cannot parse --components {args.components!r}: expected int pairs "(r1,d1),(r2,d2),..."'
+        ) from exc
     reg_lb, pdim_lb = lower_bounds_from_induced(comps)
     payload = {"components": [list(c) for c in comps], "reg_lower_bound": reg_lb,
                "pdim_lower_bound": pdim_lb}

@@ -311,16 +311,8 @@ def minimal_generators_oracle(
 
 def krull_dim(graph: SimpleGraph) -> int:
     """Krull dimension of the edge subring: the rational rank of the
-    vertex-by-edge exponent matrix of the edge map."""
-    nv = len(graph.vertices)
-    q = len(graph.edges)
-    rows = [[0] * q for _ in range(nv)]
-    for e in range(q):
-        img = graph.edge_vertex_exponents(e)
-        for v in range(nv):
-            if img[v]:
-                rows[v][e] = img[v]
-    return rational_rank(rows)
+    exponent matrix of the edge map, one row per edge."""
+    return rational_rank(graph.edge_vertex_exponents(e) for e in range(len(graph.edges)))
 
 
 def reg_pdim(betti: BettiTable) -> tuple[int, int] | None:

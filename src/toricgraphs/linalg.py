@@ -1,39 +1,12 @@
-"""Exact rank computation over the rationals."""
+"""Exact rank computation over the rationals: one pivot-indexed elimination
+on sparse rows, with a front door for dense rows."""
 
 from fractions import Fraction
 
 
 def rational_rank(rows) -> int:
-    """Rank of a dense matrix given as a list of rows of ints/Fractions.
-
-    Plain Gaussian elimination with exact Fraction arithmetic; for small
-    matrices (incidence matrices and the like).
-    """
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a dense matrix given as an iterable of rows of ints/Fractions."""
+    return sparse_rational_rank(dict(enumerate(row)) for row in rows)
 
 
 def sparse_rational_rank(rows) -> int:

@@ -143,9 +143,7 @@ def betti_from_linear_quotients(profile: QuotientProfile) -> BettiTable:
     return table
 
 
-def betti_taylor_oracle(
-    ideal: MonomialIdeal, max_generators: int = TAYLOR_MAX_GENERATORS
-) -> BettiTable:
+def betti_taylor_oracle(ideal: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers by homology of the Lyubeznik subcomplex of the
     Taylor complex; independent of any quotient structure.
 
@@ -170,9 +168,9 @@ def betti_taylor_oracle(
     """
     gens = list(ideal.min_gens)
     M = len(gens)
-    if M > max_generators:
+    if M > TAYLOR_MAX_GENERATORS:
         raise BudgetError(
-            f"Taylor oracle limited to {max_generators} generators, got {M}"
+            f"Taylor oracle limited to {TAYLOR_MAX_GENERATORS} generators, got {M}"
         )
     table = BettiTable()
     if M == 0:

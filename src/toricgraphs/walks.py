@@ -18,6 +18,12 @@ from .graphs import SimpleGraph, build_grd
 from .grobner import Binomial, Monomial
 
 
+def canonical_edge_names(edge_names: tuple[str, ...]) -> tuple[str, ...]:
+    """The lexicographically least rotation or reflection of a closed walk."""
+    n = len(edge_names)
+    return min(seq[k:] + seq[:k] for seq in (edge_names, edge_names[::-1]) for k in range(n))
+
+
 class ClosedEvenWalk:
     """A closed walk of even length, stored with its traversal vertex sequence."""
 
@@ -48,12 +54,7 @@ class ClosedEvenWalk:
         raise DomainError(last_error or "invalid walk")
 
     def canonical_form(self) -> tuple[str, ...]:
-        seq = self.edge_names
-        rev = tuple(reversed(seq))
-        n = len(seq)
-        best = min(seq[k:] + seq[:k] for k in range(n))
-        best_rev = min(rev[k:] + rev[:k] for k in range(n))
-        return min(best, best_rev)
+        return canonical_edge_names(self.edge_names)
 
     def __eq__(self, other):
         return isinstance(other, ClosedEvenWalk) and self.edge_names == other.edge_names
@@ -117,14 +118,16 @@ def minimal_closed_even_walks(
     max_len, which is all is_primitive needs.  On a bipartite graph it is
     exactly the even cycles.  The depth-first search
     cuts a branch at such a revisit; the step back to the start at even
-    length records the walk.  The first edge carries the minimum edge
-    position used anywhere in the walk, which rules out most rotated
-    duplicates cheaply; the canonical form removes the rest.
+    length adds the walk's canonical form to a set.  The first edge carries
+    the minimum edge position used anywhere in the walk, which rules out
+    most rotated duplicates cheaply; the set removes the rest.  One
+    ClosedEvenWalk is built per class at the end, in (length, canonical
+    form) order.
     """
     if max_len < 4 or max_len % 2 != 0:
         raise DomainError("max_len must be an even integer >= 4")
     adj = graph.adjacency()
-    found: dict[tuple[str, ...], ClosedEvenWalk] = {}
+    found: set[tuple[str, ...]] = set()
     nodes = 0
     edge_names = graph.edge_names
     parity = dict.fromkeys(graph.vertices, 0)  # bit 1: on the path at an even step, 2: odd
@@ -146,9 +149,7 @@ def minimal_closed_even_walks(
                     extend(first_pos, start, nxt, seq)
                     parity[nxt] ^= bit
             elif nxt == start and n % 2 == 0:
-                names = tuple(edge_names[p] for p in seq)
-                walk = ClosedEvenWalk(graph, names, start=start)
-                found.setdefault(walk.canonical_form(), walk)
+                found.add(canonical_edge_names(tuple(edge_names[p] for p in seq)))
             seq.pop()
 
     for first_pos, edge in enumerate(graph.edges):
@@ -157,8 +158,7 @@ def minimal_closed_even_walks(
             extend(first_pos, start, cur, [first_pos])
             parity[start] = parity[cur] = 0
 
-    walks = [found[k] for k in sorted(found, key=lambda c: (len(c), c))]
-    return [ClosedEvenWalk(graph, w.canonical_form()) for w in walks]
+    return [ClosedEvenWalk(graph, names) for names in sorted(found, key=lambda c: (len(c), c))]
 
 
 def enumerate_primitive_walks(

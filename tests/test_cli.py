@@ -324,6 +324,13 @@ def test_bounds_parse_error(capsys):
     assert "components" in err
 
 
+@pytest.mark.parametrize("components", ["(3.7,2.9)", "('3','2')", "(1e400,2)"])
+def test_bounds_rejects_non_int_entries(capsys, components):
+    code, out, err = invoke(capsys, "bounds", "--components", components)
+    assert (code, out) == (1, "")
+    assert "int pairs" in err
+
+
 def test_order_flag_changes_initial_ideal(capsys):
     _, out_default, _ = invoke(capsys, "initial", "--k2d", "2", "--json")
     _, out_flipped, _ = invoke(

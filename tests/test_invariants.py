@@ -375,6 +375,16 @@ def test_krull_dim_odd_cycle_full_rank():
     assert krull_dim(cycle_graph(5)) == 5
 
 
+def test_krull_dim_on_atlas_graphs():
+    # a connected graph's edge subring has dimension |V| - 1 if it is bipartite, |V| otherwise
+    nx = pytest.importorskip("networkx")
+    atlas = [g for g in nx.graph_atlas_g() if 0 < g.number_of_edges() <= 8 and nx.is_connected(g)]
+    assert len(atlas) == 199
+    for g in atlas:
+        expected = g.number_of_nodes() - nx.is_bipartite(g)
+        assert krull_dim(graph_from_pairs(list(g.edges))) == expected, list(g.edges)
+
+
 def test_reg_pdim_family_tables():
     for (r, d) in [(3, 2), (3, 5), (4, 3), (5, 5)]:
         reg, pdim = reg_pdim(betti_formula_grd(r, d))

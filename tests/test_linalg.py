@@ -7,6 +7,36 @@ import pytest
 from toricgraphs.linalg import rational_rank, sparse_rational_rank
 
 
+def dense_rank(rows) -> int:
+    """Dense Gaussian elimination with exact Fraction arithmetic, kept apart
+    from the package's kernel as an independent reference."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat or not mat[0]:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    col = 0
+    while rank < len(mat) and col < ncols:
+        pivot = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
 def to_sparse(dense, keep_zeros=False):
     """Rows as {column: value} dicts; keep_zeros also stores explicit zero entries."""
     return [{c: v for c, v in enumerate(row) if v or keep_zeros} for row in dense]
@@ -50,12 +80,14 @@ def test_sparse_rank_matches_dense_rank(entry, shape):
             dense = with_zero_and_duplicate_rows(rng, dense)
         rows = to_sparse(dense, keep_zeros=trial % 3 == 0)
         before = copy.deepcopy(rows)
-        assert sparse_rational_rank(rows) == rational_rank(dense)
+        expected = dense_rank(dense)
+        assert sparse_rational_rank(rows) == expected
+        assert rational_rank(dense) == expected
         assert rows == before
 
 
 def test_sparse_rank_empty_shapes():
-    assert sparse_rational_rank([]) == rational_rank([]) == 0
-    assert sparse_rational_rank([{}, {}, {}]) == rational_rank([[], [], []]) == 0
+    assert sparse_rational_rank([]) == rational_rank([]) == dense_rank([]) == 0
+    assert sparse_rational_rank([{}, {}, {}]) == rational_rank([[], [], []]) == dense_rank([[], [], []]) == 0
     assert sparse_rational_rank([{0: 0, 4: 0}]) == 0
 
