@@ -4,7 +4,8 @@ Every command and `verify` read their results from one `Chain`, the paper's
 method as a lazily evaluated sequence of stages: primitive walks -> reduced
 Groebner basis -> in(I_G), its generators stored ascending -> their quotient
 profile -> graded Betti numbers (-> Hilbert series).  Each stage runs at
-most once per command, on first use, and each result is held only there.
+most once per command, on first use, and each result is held only there;
+`verify` certifies the closed-form basis in place of running Buchberger.
 Every command that takes `--budget` rejects a negative one.
 
 Exit codes: 0 success, 1 domain/usage error, 2 verification failure
@@ -13,7 +14,7 @@ Exit codes: 0 success, 1 domain/usage error, 2 verification failure
 `verify` gives each check the status pass, fail or budget (the check ran out
 of its search budget; the other checks still run).  Its overall status is
 fail (exit 2) if any check failed, else budget (exit 3) if any check ran out
-of budget, else pass (exit 0).
+of budget, else pass (exit 0).  A check that needs one that did not pass is skipped.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .grobner import (
 )
 from .invariants import (
     family_invariants,
+    groebner_certificate_failures,
     hilbert_enumeration_oracle,
     hilbert_from_betti,
     krull_dim,
@@ -111,8 +113,9 @@ class Chain:
     """The stage chain on one graph under one monomial order; each stage is cached.
 
     Walks are the closed forms on a family graph and the search's output on
-    any other.  `budget` is the walk search's node budget; Buchberger's
-    S-pairs are capped at max(1000, budget // 50), 200,000 at the default.
+    any other; the basis is Buchberger's unless `verify` assigns a certified
+    one.  `budget` is the walk search's node budget and caps Buchberger's
+    S-pairs at max(1000, budget // 50), 200,000 at the default.
     """
 
     def __init__(self, graph: SimpleGraph, order: GrevlexOrder, budget: int):
@@ -131,12 +134,8 @@ class Chain:
         return self.search()
 
     @functools.cached_property
-    def generators(self):
-        return [walk_to_binomial(w) for w in self.walks]
-
-    @functools.cached_property
     def basis(self):
-        return buchberger(self.generators, self.order, max_pairs=max(1000, self.budget // 50))
+        return buchberger(map(walk_to_binomial, self.walks), self.order, max(1000, self.budget // 50))
 
     @functools.cached_property
     def initial(self):
@@ -290,10 +289,10 @@ class _Report:
         self.graph_spec = graph_spec
         self.checks = []
         self.notes = []
-        self.unfinished = set()  # checks that raised or were skipped
+        self.unfinished = set()  # checks that did not pass: they give no result
 
     def run(self, name, fn, needs=None):
-        """Run one check; skip it with a note if the check named `needs` did not finish."""
+        """Run one check; skip it with a note if the check named `needs` did not pass."""
         if needs in self.unfinished:
             self.notes.append(f"{name} skipped: no result from {needs}")
             self.unfinished.add(name)
@@ -305,6 +304,7 @@ class _Report:
         except (DomainError, ConsistencyError, BudgetError) as exc:
             expected, actual = "no error", f"{type(exc).__name__}: {exc}"
             status = "budget" if isinstance(exc, BudgetError) else "fail"
+        if status != "pass":
             self.unfinished.add(name)
         elapsed = time.perf_counter() - t0
         self.checks.append(
@@ -347,8 +347,8 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     """Check each closed form of a family graph against code that does not use it.
 
     Each chain stage runs on first use inside the check named after it, so
-    it is charged to that check; a check whose stage raised is skipped
-    with a note.
+    it is charged to that check.  The basis is the closed form, once the
+    `groebner-basis` check certifies it; else the checks after are skipped.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
@@ -359,15 +359,21 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     def walk_classes(walks):
         return sorted(w.canonical_form() for w in walks)
 
-    def readable(fmt, items):
-        return sorted(fmt(x, order.names) for x in items)
+    def readable(monomials):
+        return sorted(format_monomial(m, order.names) for m in monomials)
 
     report.run("primitive-walks", lambda: (walk_classes(chain.walks), walk_classes(chain.search())))
-    report.run("groebner-basis", lambda: (readable(format_binomial, map(order.normalize, chain.generators)),
-                                          readable(format_binomial, chain.basis)))
-    report.run("initial-ideal", lambda: (readable(format_monomial, family_initial_generators(graph)),
-                                         readable(format_monomial, chain.initial.min_gens)),
-               needs="groebner-basis")
+
+    def check_basis():
+        closed = [order.normalize(walk_to_binomial(w)) for w in chain.walks]
+        failures = groebner_certificate_failures(graph, closed, order, default_max_len(graph) // 2, budget)
+        if not failures:
+            chain.basis = closed
+        return [], failures
+
+    report.run("groebner-basis", check_basis)
+    report.run("initial-ideal", lambda: (readable(family_initial_generators(graph)),
+                                         readable(chain.initial.min_gens)), needs="groebner-basis")
 
     def check_quotients():
         profile = chain.quotients
@@ -443,10 +449,11 @@ def _build_parser() -> _Parser:
         _add_graph_args(sub)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="search-node budget for walk enumeration (>= 0); Buchberger is "
-                              "also capped at max(1000, BUDGET // 50) S-pairs, the generator "
-                              "oracle at BUDGET walk-search nodes and BUDGET steps per fiber, "
-                              "and the Hilbert oracle at BUDGET monomials per degree")
+                         help="search-node budget for walk enumeration (>= 0); Buchberger (not "
+                              "run by verify) is also capped at max(1000, BUDGET // 50) S-pairs, "
+                              "verify's Groebner certificate and the generator oracle at BUDGET "
+                              "walk-search nodes and BUDGET steps per fiber, and the Hilbert "
+                              "oracle at BUDGET monomials per degree")
         if order:
             sub.add_argument("--order", help="comma-separated variable priority, highest first "
                                              "(default: the edges' declaration order)")

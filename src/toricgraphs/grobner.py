@@ -268,13 +268,13 @@ class _Leads:
         return None
 
 
-def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder) -> Binomial | None:
-    """S-polynomial of two pure-difference binomials; None if it is zero."""
+def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder, big: Monomial | None = None) -> Binomial | None:
+    """S-polynomial of two pure-difference binomials, None if zero; `big` is their leads' lcm, if built."""
     f = order.normalize(f)
     g = order.normalize(g)
     if f is None or g is None:
         return None
-    big = f.lhs.lcm(g.lhs)
+    big = big or f.lhs.lcm(g.lhs)
     a = _swap(big, f.lhs, f.rhs)
     b = _swap(big, g.lhs, g.rhs)
     if a == b:
@@ -375,7 +375,7 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
         below[j] |= 1 << i
         if skip:
             continue
-        s = s_binomial(basis[i], basis[j], order)
+        s = s_binomial(basis[i], basis[j], order, big)
         if s is None:
             continue
         r = reduce(s, index, order)

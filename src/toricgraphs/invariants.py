@@ -11,10 +11,13 @@ even walks, the only degrees where minimal generators can lie.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce as _fold
 from math import comb
+from operator import or_
 
 from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError
 from .graphs import FamilyTag, SimpleGraph
+from .grobner import GrevlexOrder, Monomial, format_binomial, format_monomial
 from .linalg import rational_rank
 from .quotients import BettiTable
 from .walks import minimal_closed_even_walks
@@ -270,6 +273,16 @@ def _fiber(ends, image, budget: int) -> list[int]:
     return supports
 
 
+def _walk_fibers(graph: SimpleGraph, max_deg: int, budget: int):
+    """(image, fiber supports) at the vertex image of each closed even walk of length <= 2*max_deg,
+    among them the degree of every primitive binomial up to max_deg (Villarreal, Comm. Algebra 1995;
+    Ohsugi-Hibi, J. Algebra 1999); `budget` caps the walk search's nodes and each fiber's steps."""
+    walks = minimal_closed_even_walks(graph, 2 * max_deg, budget)
+    ends = [tuple(graph.vertex_index[x] for x in e.ends) for e in graph.edges]
+    for image in sorted({tuple(map(w.vertices[1:].count, graph.vertices)) for w in walks}):
+        yield image, _fiber(ends, image, budget)
+
+
 def minimal_generators_oracle(
     graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
@@ -282,21 +295,15 @@ def minimal_generators_oracle(
     then u - u' = x_e (u/x_e - u'/x_e) comes from lower degrees.  Every
     minimal binomial generator is primitive, since the universal Markov
     basis lies in the Graver basis (Charalambous-Katsabekis-Thoma, Proc. AMS
-    2007), and the primitive binomials are those of primitive even closed
-    walks (Villarreal, Comm. Algebra 1995; Ohsugi-Hibi, J. Algebra 1999).
-    So the images of the walks of length <= 2*max_deg, a superset of the
-    primitive ones, hold every b that carries a generator.  `budget` caps
-    the walk search's nodes and each fiber's steps.
+    2007), so every b that carries one is a walk image.  `budget` caps as in
+    _walk_fibers.
     """
     if max_deg < 2:
         raise DomainError("max_deg must be at least 2")
-    walks = minimal_closed_even_walks(graph, 2 * max_deg, budget)
-    images = {tuple(map(w.vertices[1:].count, graph.vertices)) for w in walks}
-    ends = [tuple(graph.vertex_index[x] for x in e.ends) for e in graph.edges]
     out = dict.fromkeys(range(2, max_deg + 1), 0)
-    for image in images:
+    for image, fiber in _walk_fibers(graph, max_deg, budget):
         components: list[int] = []  # disjoint unions of the members' supports
-        for s in _fiber(ends, image, budget):
+        for s in fiber:
             rest = []
             for c in components:
                 if c & s:
@@ -307,6 +314,34 @@ def minimal_generators_oracle(
             components = rest
         out[sum(image) // 2] += len(components) - 1
     return out
+
+
+def groebner_certificate_failures(
+    graph: SimpleGraph, basis, order: GrevlexOrder, max_deg: int, budget: int = DEFAULT_BUDGET
+) -> list[str]:
+    """Why `basis` is not the reduced Groebner basis of I_G; empty if it is.
+    The elements outside I_G, not led by their leading term, or not reduced
+    come first; then each walk image, as a vertex monomial, whose fiber has
+    other than one member outside in(basis).  S/in(I_G) has one per fiber, and
+    each generator of in(I_G) leads a primitive binomial of degree <= max_deg
+    (Sturmfels, GBCP, Ch. 4), so its fiber is checked.  Leads must be
+    squarefree, else DomainError; `budget` caps as in _walk_fibers."""
+    for lead in (g.lhs for g in basis if not g.lhs.is_squarefree()):
+        raise DomainError(f"leading term {format_monomial(lead, order.names)} is not squarefree")
+    uses = [sum(g.lhs.exps[e] << k for k, g in enumerate(basis)) for e in range(order.nvars)]
+
+    def divisors(s):  # how many leading terms divide a monomial with edge support s
+        return len(basis) - _fold(or_, (u for e, u in enumerate(uses) if not s >> e & 1), 0).bit_count()
+
+    def image(m):
+        return sorted(v for e, x in zip(graph.edges, m.exps) for v in e.ends * x)
+
+    failures = [format_binomial(g, order.names) for g in basis
+                if image(g.lhs) != image(g.rhs) or order.compare(g.lhs, g.rhs) <= 0
+                or divisors(g.lhs.support) != 1 or divisors(g.rhs.support)]
+    return failures + [format_monomial(Monomial(b), graph.vertices)
+                       for b, fiber in _walk_fibers(graph, max_deg, budget)
+                       if sum(not divisors(s) for s in fiber) != 1]
 
 
 def krull_dim(graph: SimpleGraph) -> int:

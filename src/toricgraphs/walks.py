@@ -174,6 +174,9 @@ def enumerate_primitive_walks(
     if max_len is None:
         max_len = default_max_len(graph)
     walks = minimal_closed_even_walks(graph, max_len, node_budget)
+    # Even cycles are primitive in any graph, and on a bipartite one the search finds nothing else.
+    if all(len(set(w.vertices)) == len(w.edge_names) for w in walks):
+        return walks
     candidates = [walk_to_binomial(w) for w in walks]
     candidates = [f for f in candidates if not f.is_zero()]
     return [w for w in walks if is_primitive(w, candidates)]

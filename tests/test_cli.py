@@ -396,13 +396,18 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
     assert doc["status"] == "budget"
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses.pop("primitive-walks") == "budget"
-    assert sorted(statuses) == sorted(VERIFY_CHECKS[1:])
-    # --budget also caps the generator oracle's walk search and the Hilbert
-    # oracle's monomials per degree (G(3,3) needs 55 in degree 2), so both
-    # run out too.
+    # --budget also caps the Groebner certificate's and the generator
+    # oracle's walk searches and the Hilbert oracle's monomials per degree
+    # (G(3,3) needs 55 in degree 2), so all three run out too, and the
+    # checks that read the certified basis are skipped.
+    skipped = ["initial-ideal", "linear-quotients", "betti-linear-quotients", "betti-taylor-oracle"]
+    assert sorted(statuses) == sorted(set(VERIFY_CHECKS[1:]) - set(skipped))
+    assert statuses.pop("groebner-basis") == "budget"
     assert statuses.pop("toric-generator-degrees") == "budget"
     assert statuses.pop("hilbert-enumeration") == "budget"
     assert set(statuses.values()) == {"pass"}
+    assert doc["notes"] == [f"{name} skipped: no result from {need}" for name, need in zip(
+        skipped, ["groebner-basis", "initial-ideal", "linear-quotients", "initial-ideal"])]
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10")
     assert code == 3
     assert "BUDGET primitive-walks" in out and out.rstrip().endswith("overall: budget")
@@ -410,9 +415,9 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
 
 def test_verify_reports_a_failed_stage_and_skips_what_needs_it(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
-        raise BudgetError("buchberger exceeded the pair budget of 0")
+        raise BudgetError("walk search exceeded the node budget of 0")
 
-    monkeypatch.setattr("toricgraphs.cli.buchberger", exhausted)
+    monkeypatch.setattr("toricgraphs.cli.groebner_certificate_failures", exhausted)
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
     assert code == 3
     doc = json.loads(out)
@@ -430,6 +435,24 @@ def test_verify_reports_a_failed_stage_and_skips_what_needs_it(capsys, monkeypat
     assert "BUDGET groebner-basis" in out and out.rstrip().endswith("overall: budget")
 
 
+def test_verify_never_reads_an_uncertified_basis(capsys, monkeypatch):
+    import toricgraphs.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("verify ran Buchberger")
+
+    monkeypatch.setattr(cli, "buchberger", never)
+    monkeypatch.setattr(cli, "groebner_certificate_failures", lambda *args: ["x1^2*x2^2*y1*y2"])
+    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
+    assert code == 2
+    doc = json.loads(out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert (checks["groebner-basis"]["status"], checks["groebner-basis"]["actual"]) == ("fail", "['x1^2*x2^2*y1*y2']")
+    skipped = ["initial-ideal", "linear-quotients", "betti-linear-quotients", "betti-taylor-oracle"]
+    assert sorted(checks) == sorted(set(VERIFY_CHECKS) - set(skipped))
+    assert [note.split(" skipped")[0] for note in doc["notes"]] == skipped
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "2", "--json")
     assert code == 0
@@ -439,8 +462,8 @@ def test_verify_json_schema(capsys):
     assert {"name", "status", "expected", "actual"} == set(doc["checks"][0])
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["initial-ideal"]["actual"] == "['a1*e2*e4', 'a2*b1', 'a2*e2*e4']"
-    assert checks["groebner-basis"]["actual"] == (
-        "['a1*e2*e4 - e1*e3*b1', 'a2*b1 - a1*b2', 'a2*e2*e4 - e1*e3*b2']")
+    # The certificate's failures: none.
+    assert checks["groebner-basis"]["expected"] == checks["groebner-basis"]["actual"] == "[]"
 
 
 def test_verify_k2d(capsys):
@@ -492,7 +515,9 @@ def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
         monkeypatch.setattr(cli, name, counted)
     code, _, _ = invoke(capsys, *[str(f) if a == "FILE" else a for a in argv])
     assert code == 0
-    assert calls.get("buchberger") == 1
+    # verify certifies the closed-form basis instead of running Buchberger.
+    assert calls.get("buchberger", 0) == (0 if argv[0] == "verify" else 1)
+    assert calls.get("initial_ideal") == 1
     assert all(n <= 1 for n in calls.values()), calls
 
 

@@ -24,7 +24,16 @@ from toricgraphs import (
     reg_pdim,
 )
 from toricgraphs.graphs import SimpleGraph
-from toricgraphs.invariants import quotient_numerator_from_betti
+from toricgraphs.grobner import (
+    Binomial,
+    Monomial,
+    buchberger,
+    default_order,
+    format_binomial,
+    format_monomial,
+)
+from toricgraphs.invariants import groebner_certificate_failures, quotient_numerator_from_betti
+from toricgraphs.walks import default_max_len, enumerate_primitive_walks, family_primitive_walks, walk_to_binomial
 from toricgraphs.linalg import sparse_rational_rank
 
 
@@ -447,6 +456,113 @@ def test_hvector_unimodality_scan():
     assert HilbertSeries((1, 1, -1), 0).unimodal  # rise then fall
     assert not HilbertSeries((1, -1, 1), 0).unimodal  # valley
     assert not HilbertSeries((2, 1, 2), 0).unimodal
+
+
+# ---------------------------------------------------------------------------
+# the Groebner basis certificate from the fibers at walk images
+
+
+def closed_form_basis(graph):
+    """The family's closed-form binomials, normalized and sorted, and the order."""
+    order = default_order(graph)
+    basis = sorted(map(order.normalize, map(walk_to_binomial, family_primitive_walks(graph))),
+                   key=lambda g: (g.degree, order.key(g.lhs), order.key(g.rhs)))
+    return basis, order
+
+
+def certificate(graph, basis, order):
+    return groebner_certificate_failures(graph, basis, order, default_max_len(graph) // 2)
+
+
+def image_text(graph, m):
+    """The vertex image of an edge monomial, written as a vertex monomial."""
+    image = [0] * len(graph.vertices)
+    for e, x in enumerate(m.exps):
+        for v in graph.edges[e].ends:
+            image[graph.vertex_index[v]] += x
+    return format_monomial(Monomial(image), graph.vertices)
+
+
+@pytest.mark.parametrize("graph", [build_grd(3, d) for d in (3, 4, 5)] + [build_k2d(d) for d in (3, 4, 5, 6)],
+                         ids=["G33", "G34", "G35", "K23", "K24", "K25", "K26"])
+def test_certificate_fails_when_any_generator_is_dropped(graph):
+    basis, order = closed_form_basis(graph)
+    assert certificate(graph, basis, order) == []
+    for k, g in enumerate(basis):
+        # The dropped lead and the tail both lie outside in(rest) in their fiber.
+        assert certificate(graph, basis[:k] + basis[k + 1:], order) == [image_text(graph, g.lhs)]
+
+
+def test_certificate_passes_beyond_buchbergers_pair_cap():
+    # Buchberger on these 780 binomials forms over 300,000 S-pairs.
+    graph = build_k2d(40)
+    assert certificate(graph, *closed_form_basis(graph)) == []
+
+
+def test_certificate_names_an_element_outside_the_ideal():
+    graph = build_grd(3, 3)
+    basis, order = closed_form_basis(graph)
+    outside = order.normalize(Binomial(basis[0].lhs, basis[-1].rhs))
+    assert image_text(graph, outside.lhs) != image_text(graph, outside.rhs)
+    failures = certificate(graph, [outside] + basis[1:], order)
+    assert failures[0] == format_binomial(outside, order.names)
+
+
+def test_certificate_names_an_element_led_by_its_tail_or_repeated():
+    # Neither changes in(basis), so only the element tests can see them.
+    graph = build_grd(3, 3)
+    basis, order = closed_form_basis(graph)
+    first = format_binomial(basis[0], order.names)
+    flipped = format_binomial(-basis[0], order.names)
+    assert certificate(graph, [-basis[0]] + basis[1:], order) == [flipped]
+    assert certificate(graph, basis + [basis[0]], order) == [first, first]
+
+
+def test_certificate_fails_on_a_tail_divisible_by_another_lead():
+    # K_4's three perfect matchings g0*g5, g1*g4, g2*g3 form one fiber, so
+    # g2*g3 - g1*g4 lies in I_G and has the right leading term, but its
+    # tail is the other element's leading term.
+    graph = graph_from_pairs([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    order = default_order(graph)
+    basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
+    assert [format_binomial(g, order.names) for g in basis] == ["g1*g4 - g0*g5", "g2*g3 - g0*g5"]
+    assert certificate(graph, basis, order) == []
+    unreduced = [basis[0], Binomial(basis[1].lhs, basis[0].lhs)]
+    assert certificate(graph, unreduced, order) == ["g2*g3 - g1*g4"]
+
+
+def test_certificate_refuses_a_non_squarefree_leading_term():
+    # C_8(1,2), the circulant graph; the element is from its reduced basis
+    # under declaration-order grevlex.
+    graph = graph_from_pairs([(0, 7), (0, 6), (0, 1), (0, 2), (1, 7), (1, 2), (1, 3), (2, 3),
+                              (2, 4), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)])
+    q = len(graph.edges)
+    element = Binomial(Monomial.from_variables(q, [1, 9, 14, 14]), Monomial.from_variables(q, [0, 10, 11, 15]))
+    assert image_text(graph, element.lhs) == image_text(graph, element.rhs)
+    with pytest.raises(DomainError, match=r"^leading term g1\*g9\*g14\^2 is not squarefree$"):
+        certificate(graph, [element], default_order(graph))
+
+
+def test_certificate_agrees_with_buchberger_on_atlas():
+    # Every reduced basis with squarefree leads is certified, and is minimal:
+    # dropping any one element breaks the certificate.  Two graphs have a
+    # non-squarefree lead, which the certificate refuses.
+    nx = pytest.importorskip("networkx")
+    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
+              if 0 < g.number_of_edges() <= 8 and nx.is_connected(g)]
+    refused = 0
+    for g in graphs:
+        order = default_order(g)
+        basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(g)], order)
+        if not all(f.lhs.is_squarefree() for f in basis):
+            refused += 1
+            with pytest.raises(DomainError, match="not squarefree"):
+                certificate(g, basis, order)
+            continue
+        assert certificate(g, basis, order) == [], g.edges
+        for k in range(len(basis)):
+            assert certificate(g, basis[:k] + basis[k + 1:], order), (g.edges, k)
+    assert (len(graphs), refused) == (199, 2)
 
 
 # ---------------------------------------------------------------------------

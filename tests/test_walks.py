@@ -316,6 +316,22 @@ def test_search_output_never_decomposes(graph):
     assert not any(decomposes_at_basepoint(w) for w in walks)
 
 
+def test_primitive_filter_runs_only_when_the_search_yields_a_non_cycle(monkeypatch):
+    # Even cycles are primitive in any graph, and on a bipartite graph the
+    # search yields nothing else, so there the filter is skipped.
+    import toricgraphs.walks as walks_module
+
+    tested = []
+    real = walks_module.is_primitive
+    monkeypatch.setattr(walks_module, "is_primitive", lambda w, c: tested.append(w) or real(w, c))
+    assert len(enumerate_primitive_walks(k33_graph())) == 15
+    assert len(enumerate_primitive_walks(build_grd(3, 3))) == 6
+    assert len(enumerate_primitive_walks(build_k2d(5))) == 10
+    assert tested == []
+    assert len(enumerate_primitive_walks(bowtie_graph())) == 2
+    assert tested
+
+
 def brute_force_primitive_binomials(graph):
     """Primitive binomials of I_G without walks, each as a frozenset {lhs, rhs}.
 
