@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 domain/usage error, 2 verification failure
 `verify` gives each check the status pass, fail or budget (the check ran out
 of its search budget; the other checks still run).  Its overall status is
 fail (exit 2) if any check failed, else budget (exit 3) if any check ran out
-of budget, else pass (exit 0).  A check that needs one that did not pass is skipped.
+of budget, else pass (exit 0).
 """
 
 from __future__ import annotations
@@ -289,10 +289,10 @@ class _Report:
         self.graph_spec = graph_spec
         self.checks = []
         self.notes = []
-        self.unfinished = set()  # checks that did not pass: they give no result
+        self.unfinished = set()  # checks that raised or were skipped
 
     def run(self, name, fn, needs=None):
-        """Run one check; skip it with a note if the check named `needs` did not pass."""
+        """Run one check; skip it with a note if the check named `needs` did not finish."""
         if needs in self.unfinished:
             self.notes.append(f"{name} skipped: no result from {needs}")
             self.unfinished.add(name)
@@ -304,7 +304,6 @@ class _Report:
         except (DomainError, ConsistencyError, BudgetError) as exc:
             expected, actual = "no error", f"{type(exc).__name__}: {exc}"
             status = "budget" if isinstance(exc, BudgetError) else "fail"
-        if status != "pass":
             self.unfinished.add(name)
         elapsed = time.perf_counter() - t0
         self.checks.append(
@@ -347,8 +346,10 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     """Check each closed form of a family graph against code that does not use it.
 
     Each chain stage runs on first use inside the check named after it, so
-    it is charged to that check.  The basis is the closed form, once the
-    `groebner-basis` check certifies it; else the checks after are skipped.
+    it is charged to that check; a check whose stage raised is skipped with
+    a note.  The basis is the closed form, once the `groebner-basis` check
+    certifies it; an uncertified one raises, so the checks that read it are
+    skipped.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
@@ -366,10 +367,11 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
 
     def check_basis():
         closed = [order.normalize(walk_to_binomial(w)) for w in chain.walks]
-        failures = groebner_certificate_failures(graph, closed, order, default_max_len(graph) // 2, budget)
-        if not failures:
-            chain.basis = closed
-        return [], failures
+        failures = groebner_certificate_failures(graph, closed, order, budget)
+        if failures:
+            raise ConsistencyError("not the reduced Groebner basis: " + ", ".join(failures))
+        chain.basis = closed
+        return [], []
 
     report.run("groebner-basis", check_basis)
     report.run("initial-ideal", lambda: (readable(family_initial_generators(graph)),

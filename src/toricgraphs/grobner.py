@@ -259,6 +259,10 @@ class _Leads:
         """The live positions whose leading term uses only variables of m."""
         return self.live & ~_fold(or_, compress(self.holders, map(not_, m.exps)), 0)
 
+    def within(self, support: int) -> int:
+        """The live positions whose leading term uses only variables in the bitmask `support`."""
+        return self.live & ~_fold(or_, (h for v, h in enumerate(self.holders) if not support >> v & 1), 0)
+
     def divisor(self, m: Monomial) -> Binomial | None:
         """The first live element in list order whose leading term divides m."""
         for k in _positions(self.inside(m)):
@@ -268,13 +272,8 @@ class _Leads:
         return None
 
 
-def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder, big: Monomial | None = None) -> Binomial | None:
-    """S-polynomial of two pure-difference binomials, None if zero; `big` is their leads' lcm, if built."""
-    f = order.normalize(f)
-    g = order.normalize(g)
-    if f is None or g is None:
-        return None
-    big = big or f.lhs.lcm(g.lhs)
+def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder, big: Monomial) -> Binomial | None:
+    """S-polynomial of two normalized pure-difference binomials whose leads have lcm `big`; None if zero."""
     a = _swap(big, f.lhs, f.rhs)
     b = _swap(big, g.lhs, g.rhs)
     if a == b:

@@ -11,16 +11,14 @@ even walks, the only degrees where minimal generators can lie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce as _fold
 from math import comb
-from operator import or_
 
 from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError
 from .graphs import FamilyTag, SimpleGraph
-from .grobner import GrevlexOrder, Monomial, format_binomial, format_monomial
+from .grobner import GrevlexOrder, Monomial, _Leads, format_binomial, format_monomial
 from .linalg import rational_rank
 from .quotients import BettiTable
-from .walks import minimal_closed_even_walks
+from .walks import default_max_len, minimal_closed_even_walks
 
 
 @dataclass(frozen=True)
@@ -317,21 +315,22 @@ def minimal_generators_oracle(
 
 
 def groebner_certificate_failures(
-    graph: SimpleGraph, basis, order: GrevlexOrder, max_deg: int, budget: int = DEFAULT_BUDGET
+    graph: SimpleGraph, basis, order: GrevlexOrder, budget: int = DEFAULT_BUDGET
 ) -> list[str]:
     """Why `basis` is not the reduced Groebner basis of I_G; empty if it is.
     The elements outside I_G, not led by their leading term, or not reduced
     come first; then each walk image, as a vertex monomial, whose fiber has
     other than one member outside in(basis).  S/in(I_G) has one per fiber, and
-    each generator of in(I_G) leads a primitive binomial of degree <= max_deg
-    (Sturmfels, GBCP, Ch. 4), so its fiber is checked.  Leads must be
-    squarefree, else DomainError; `budget` caps as in _walk_fibers."""
-    for lead in (g.lhs for g in basis if not g.lhs.is_squarefree()):
+    each generator of in(I_G) leads a primitive binomial, of degree at most
+    default_max_len(graph) // 2 (Sturmfels, GBCP, Ch. 4), so its fiber is
+    checked.  Leads must be squarefree, else DomainError; `budget` caps as in
+    _walk_fibers."""
+    leads = _Leads(basis, order)
+    for lead in (g.lhs for g in leads.basis if not g.lhs.is_squarefree()):
         raise DomainError(f"leading term {format_monomial(lead, order.names)} is not squarefree")
-    uses = [sum(g.lhs.exps[e] << k for k, g in enumerate(basis)) for e in range(order.nvars)]
 
     def divisors(s):  # how many leading terms divide a monomial with edge support s
-        return len(basis) - _fold(or_, (u for e, u in enumerate(uses) if not s >> e & 1), 0).bit_count()
+        return leads.within(s).bit_count()
 
     def image(m):
         return sorted(v for e, x in zip(graph.edges, m.exps) for v in e.ends * x)
@@ -340,7 +339,7 @@ def groebner_certificate_failures(
                 if image(g.lhs) != image(g.rhs) or order.compare(g.lhs, g.rhs) <= 0
                 or divisors(g.lhs.support) != 1 or divisors(g.rhs.support)]
     return failures + [format_monomial(Monomial(b), graph.vertices)
-                       for b, fiber in _walk_fibers(graph, max_deg, budget)
+                       for b, fiber in _walk_fibers(graph, default_max_len(graph) // 2, budget)
                        if sum(not divisors(s) for s in fiber) != 1]
 
 

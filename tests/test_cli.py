@@ -447,10 +447,28 @@ def test_verify_never_reads_an_uncertified_basis(capsys, monkeypatch):
     assert code == 2
     doc = json.loads(out)
     checks = {c["name"]: c for c in doc["checks"]}
-    assert (checks["groebner-basis"]["status"], checks["groebner-basis"]["actual"]) == ("fail", "['x1^2*x2^2*y1*y2']")
+    assert (checks["groebner-basis"]["status"], checks["groebner-basis"]["actual"]) == (
+        "fail", "ConsistencyError: not the reduced Groebner basis: x1^2*x2^2*y1*y2")
     skipped = ["initial-ideal", "linear-quotients", "betti-linear-quotients", "betti-taylor-oracle"]
     assert sorted(checks) == sorted(set(VERIFY_CHECKS) - set(skipped))
     assert [note.split(" skipped")[0] for note in doc["notes"]] == skipped
+
+
+def test_verify_runs_the_checks_after_a_failed_comparison(capsys, monkeypatch):
+    # Only a check that raised skips its dependents: a wrong closed form for
+    # in(I_G) fails initial-ideal, and the quotient and Betti checks still
+    # read the certified basis's initial ideal.
+    import toricgraphs.cli as cli
+
+    monkeypatch.setattr(cli, "family_initial_generators", lambda graph: [])
+    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
+    assert code == 2
+    doc = json.loads(out)
+    statuses = {c["name"]: c["status"] for c in doc["checks"]}
+    assert sorted(statuses) == sorted(VERIFY_CHECKS)
+    assert statuses.pop("initial-ideal") == "fail"
+    assert set(statuses.values()) == {"pass"}
+    assert doc["notes"] == []
 
 
 def test_verify_json_schema(capsys):

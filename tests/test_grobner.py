@@ -156,7 +156,7 @@ def test_order_axioms_random():
 def test_s_binomial_of_identical_pair_is_zero():
     order = g35_order()
     f = bino(order, "a2*b1", "a1*b2")
-    assert s_binomial(f, f, order) is None
+    assert s_binomial(f, f, order, f.lhs.lcm(f.lhs)) is None
 
 
 def test_s_binomial_coprime_pair_reduces_to_zero():
@@ -164,7 +164,7 @@ def test_s_binomial_coprime_pair_reduces_to_zero():
     f = bino(order, "a5*b4", "a4*b5")
     g = bino(order, "a3*b2", "a2*b3")
     assert f.lhs.gcd_is_one(g.lhs)
-    s = s_binomial(f, g, order)
+    s = s_binomial(f, g, order, f.lhs.lcm(g.lhs))
     assert s is None or reduce(s, [f, g], order) is None
 
 
@@ -172,7 +172,7 @@ def test_s_binomial_g32_pair_and_reduction():
     order = default_order(build_grd(3, 2))
     f = bino(order, "a2*b1", "a1*b2")
     g = bino(order, "a2*e2*e4", "b2*e1*e3")
-    s = s_binomial(f, g, order)
+    s = s_binomial(f, g, order, f.lhs.lcm(g.lhs))
     assert s == bino(order, "a1*b2*e2*e4", "b1*b2*e1*e3")
     basis = [f, g, bino(order, "a1*e2*e4", "b1*e1*e3")]
     assert reduce(s, basis, order) is None
@@ -223,7 +223,7 @@ def test_reduce_normalizes_basis_elements_it_uses():
         lhs = Monomial.from_variables(order.nvars, rng.choices(range(order.nvars), k=3))
         rhs = Monomial.from_variables(order.nvars, rng.choices(range(order.nvars), k=3))
         targets.append(Binomial(lhs, rhs))
-    targets += [s_binomial(f, g, order) for f in gb for g in gb]
+    targets += [s_binomial(f, g, order, f.lhs.lcm(g.lhs)) for f in gb for g in gb]
     for f in targets:
         if f is not None:
             assert reduce(f, mixed, order) == reduce(f, gb, order)
@@ -343,7 +343,7 @@ def test_buchberger_completes_partial_generating_set():
     out = buchberger([f, g], order)
     for h in out:
         assert reduce(h, [x for x in out if x != h], order) is not None
-    for s in (s_binomial(x, y, order) for x in out for y in out):
+    for s in (s_binomial(x, y, order, x.lhs.lcm(y.lhs)) for x in out for y in out):
         if s is not None:
             assert reduce(s, out, order) is None
 
@@ -381,7 +381,7 @@ def test_buchberger_output_is_reduced_on_atlas_graphs():
             assert _scan_reduce(h, [x for x in out if x is not h], order) == h
         for k, f in enumerate(out):
             for h in out[:k]:
-                s = s_binomial(f, h, order)
+                s = s_binomial(f, h, order, f.lhs.lcm(h.lhs))
                 assert s is None or _scan_reduce(s, out, order) is None
         checked += len(out) > 1
     assert checked

@@ -33,7 +33,7 @@ from toricgraphs.grobner import (
     format_monomial,
 )
 from toricgraphs.invariants import groebner_certificate_failures, quotient_numerator_from_betti
-from toricgraphs.walks import default_max_len, enumerate_primitive_walks, family_primitive_walks, walk_to_binomial
+from toricgraphs.walks import enumerate_primitive_walks, family_primitive_walks, walk_to_binomial
 from toricgraphs.linalg import sparse_rational_rank
 
 
@@ -470,10 +470,6 @@ def closed_form_basis(graph):
     return basis, order
 
 
-def certificate(graph, basis, order):
-    return groebner_certificate_failures(graph, basis, order, default_max_len(graph) // 2)
-
-
 def image_text(graph, m):
     """The vertex image of an edge monomial, written as a vertex monomial."""
     image = [0] * len(graph.vertices)
@@ -487,16 +483,16 @@ def image_text(graph, m):
                          ids=["G33", "G34", "G35", "K23", "K24", "K25", "K26"])
 def test_certificate_fails_when_any_generator_is_dropped(graph):
     basis, order = closed_form_basis(graph)
-    assert certificate(graph, basis, order) == []
+    assert groebner_certificate_failures(graph, basis, order) == []
     for k, g in enumerate(basis):
         # The dropped lead and the tail both lie outside in(rest) in their fiber.
-        assert certificate(graph, basis[:k] + basis[k + 1:], order) == [image_text(graph, g.lhs)]
+        assert groebner_certificate_failures(graph, basis[:k] + basis[k + 1:], order) == [image_text(graph, g.lhs)]
 
 
 def test_certificate_passes_beyond_buchbergers_pair_cap():
     # Buchberger on these 780 binomials forms over 300,000 S-pairs.
     graph = build_k2d(40)
-    assert certificate(graph, *closed_form_basis(graph)) == []
+    assert groebner_certificate_failures(graph, *closed_form_basis(graph)) == []
 
 
 def test_certificate_names_an_element_outside_the_ideal():
@@ -504,7 +500,7 @@ def test_certificate_names_an_element_outside_the_ideal():
     basis, order = closed_form_basis(graph)
     outside = order.normalize(Binomial(basis[0].lhs, basis[-1].rhs))
     assert image_text(graph, outside.lhs) != image_text(graph, outside.rhs)
-    failures = certificate(graph, [outside] + basis[1:], order)
+    failures = groebner_certificate_failures(graph, [outside] + basis[1:], order)
     assert failures[0] == format_binomial(outside, order.names)
 
 
@@ -514,8 +510,8 @@ def test_certificate_names_an_element_led_by_its_tail_or_repeated():
     basis, order = closed_form_basis(graph)
     first = format_binomial(basis[0], order.names)
     flipped = format_binomial(-basis[0], order.names)
-    assert certificate(graph, [-basis[0]] + basis[1:], order) == [flipped]
-    assert certificate(graph, basis + [basis[0]], order) == [first, first]
+    assert groebner_certificate_failures(graph, [-basis[0]] + basis[1:], order) == [flipped]
+    assert groebner_certificate_failures(graph, basis + [basis[0]], order) == [first, first]
 
 
 def test_certificate_fails_on_a_tail_divisible_by_another_lead():
@@ -526,9 +522,9 @@ def test_certificate_fails_on_a_tail_divisible_by_another_lead():
     order = default_order(graph)
     basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
     assert [format_binomial(g, order.names) for g in basis] == ["g1*g4 - g0*g5", "g2*g3 - g0*g5"]
-    assert certificate(graph, basis, order) == []
+    assert groebner_certificate_failures(graph, basis, order) == []
     unreduced = [basis[0], Binomial(basis[1].lhs, basis[0].lhs)]
-    assert certificate(graph, unreduced, order) == ["g2*g3 - g1*g4"]
+    assert groebner_certificate_failures(graph, unreduced, order) == ["g2*g3 - g1*g4"]
 
 
 def test_certificate_refuses_a_non_squarefree_leading_term():
@@ -540,7 +536,7 @@ def test_certificate_refuses_a_non_squarefree_leading_term():
     element = Binomial(Monomial.from_variables(q, [1, 9, 14, 14]), Monomial.from_variables(q, [0, 10, 11, 15]))
     assert image_text(graph, element.lhs) == image_text(graph, element.rhs)
     with pytest.raises(DomainError, match=r"^leading term g1\*g9\*g14\^2 is not squarefree$"):
-        certificate(graph, [element], default_order(graph))
+        groebner_certificate_failures(graph, [element], default_order(graph))
 
 
 def test_certificate_agrees_with_buchberger_on_atlas():
@@ -557,11 +553,11 @@ def test_certificate_agrees_with_buchberger_on_atlas():
         if not all(f.lhs.is_squarefree() for f in basis):
             refused += 1
             with pytest.raises(DomainError, match="not squarefree"):
-                certificate(g, basis, order)
+                groebner_certificate_failures(g, basis, order)
             continue
-        assert certificate(g, basis, order) == [], g.edges
+        assert groebner_certificate_failures(g, basis, order) == [], g.edges
         for k in range(len(basis)):
-            assert certificate(g, basis[:k] + basis[k + 1:], order), (g.edges, k)
+            assert groebner_certificate_failures(g, basis[:k] + basis[k + 1:], order), (g.edges, k)
     assert (len(graphs), refused) == (199, 2)
 
 
