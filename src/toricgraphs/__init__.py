@@ -39,7 +39,6 @@ from .quotients import (
 from .walks import (
     ClosedEvenWalk,
     enumerate_primitive_walks,
-    grd_primitive_walks,
     is_minimal,
     is_primitive,
     minimal_closed_even_walks,

@@ -45,6 +45,7 @@ from .invariants import (
     lower_bounds_from_induced,
     minimal_generators_oracle,
     reg_pdim,
+    walk_fibers,
 )
 from .quotients import (
     TAYLOR_MAX_GENERATORS,
@@ -112,6 +113,7 @@ def _closed_forms(graph):
 class Chain:
     """The stage chain on one graph under one monomial order; each stage is cached.
 
+    `searched` is the primitive walk search up to default_max_len, run once.
     Walks are the closed forms on a family graph and the search's output on
     any other; the basis is Buchberger's unless `verify` assigns a certified
     one.  `budget` is the walk search's node budget and caps Buchberger's
@@ -123,15 +125,15 @@ class Chain:
             raise DomainError(f"--budget must be >= 0, got {budget}")
         self.graph, self.order, self.budget = graph, order, budget
 
-    def search(self, max_len=None):
-        """Primitive walks found by the search, up to max_len (default: default_max_len)."""
-        return enumerate_primitive_walks(self.graph, max_len, node_budget=self.budget)
+    @functools.cached_property
+    def searched(self):
+        return enumerate_primitive_walks(self.graph, node_budget=self.budget)
 
     @functools.cached_property
     def walks(self):
         if self.graph.family is not None:
             return family_primitive_walks(self.graph)
-        return self.search()
+        return self.searched
 
     @functools.cached_property
     def basis(self):
@@ -186,7 +188,7 @@ def cmd_walks(args) -> int:
     graph = chain.graph
     general = 2 * len(graph.edges)
     max_len = args.max_len if args.max_len is not None else default_max_len(graph)
-    walks = chain.search(max_len)
+    walks = enumerate_primitive_walks(graph, max_len, node_budget=chain.budget)
     truncated = args.max_len is not None and max_len < general
     payload = {
         "count": len(walks),
@@ -347,9 +349,12 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
 
     Each chain stage runs on first use inside the check named after it, so
     it is charged to that check; a check whose stage raised is skipped with
-    a note.  The basis is the closed form, once the `groebner-basis` check
-    certifies it; an uncertified one raises, so the checks that read it are
-    skipped.
+    a note.  The walk search runs once, in `primitive-walks`; the
+    `groebner-basis` check reads the fibers at its walks' images, never at
+    the closed-form walks, and certifies the closed-form basis, which the
+    chain then holds.  An uncertified basis raises, so the checks that read
+    it are skipped.  `toric-generator-degrees` keeps its own walk search, to
+    the degree of the closed-form table's top row.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
@@ -363,11 +368,12 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     def readable(monomials):
         return sorted(format_monomial(m, order.names) for m in monomials)
 
-    report.run("primitive-walks", lambda: (walk_classes(chain.walks), walk_classes(chain.search())))
+    report.run("primitive-walks", lambda: (walk_classes(chain.walks), walk_classes(chain.searched)))
 
     def check_basis():
         closed = [order.normalize(walk_to_binomial(w)) for w in chain.walks]
-        failures = groebner_certificate_failures(graph, closed, order, budget)
+        fibers = walk_fibers(graph, chain.searched, budget)
+        failures = groebner_certificate_failures(graph, closed, order, fibers)
         if failures:
             raise ConsistencyError("not the reduced Groebner basis: " + ", ".join(failures))
         chain.basis = closed

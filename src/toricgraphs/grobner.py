@@ -62,9 +62,6 @@ class Monomial:
     def lcm(self, other: Monomial) -> Monomial:
         return Monomial(map(max, self.exps, other.exps))
 
-    def gcd_is_one(self, other: Monomial) -> bool:
-        return not self.support & other.support
-
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exps)
 
@@ -259,17 +256,13 @@ class _Leads:
         """The live positions whose leading term uses only variables of m."""
         return self.live & ~_fold(or_, compress(self.holders, map(not_, m.exps)), 0)
 
-    def within(self, support: int) -> int:
-        """The live positions whose leading term uses only variables in the bitmask `support`."""
-        return self.live & ~_fold(or_, (h for v, h in enumerate(self.holders) if not support >> v & 1), 0)
+    def divisors(self, m: Monomial):
+        """The live elements, in list order, whose leading term divides m."""
+        return (g for g in map(self.basis.__getitem__, _positions(self.inside(m))) if g.lhs.divides(m))
 
     def divisor(self, m: Monomial) -> Binomial | None:
         """The first live element in list order whose leading term divides m."""
-        for k in _positions(self.inside(m)):
-            g = self.basis[k]
-            if g.lhs.divides(m):
-                return g
-        return None
+        return next(self.divisors(m), None)
 
 
 def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder, big: Monomial) -> Binomial | None:

@@ -3,9 +3,11 @@ enumeration/linear-algebra oracles that cross-check them.
 
 All polynomial arithmetic is over exact integers; (1-t) factors are removed
 by synthetic division which asserts a zero remainder.  The Hilbert oracle
-packs each vertex image into one int and counts sumsets of images; the
-generator oracle enumerates only the fibers at the vertex images of closed
-even walks, the only degrees where minimal generators can lie.
+packs each vertex image into one int and counts sumsets of images.
+`walk_fibers` lists the fibers of the edge map, as exact edge monomials, at
+the vertex images of closed even walks, the only degrees where minimal
+generators and the leads of a reduced Groebner basis can lie; the generator
+oracle reads their supports and the Groebner certificate their divisibility.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .graphs import FamilyTag, SimpleGraph
 from .grobner import GrevlexOrder, Monomial, _Leads, format_binomial, format_monomial
 from .linalg import rational_rank
 from .quotients import BettiTable
-from .walks import default_max_len, minimal_closed_even_walks
+from .walks import minimal_closed_even_walks
 
 
 @dataclass(frozen=True)
@@ -237,23 +239,23 @@ def hilbert_enumeration_oracle(
     return dims
 
 
-def _fiber(ends, image, budget: int) -> list[int]:
-    """The edge supports (bit e for edge e) of the edge monomials with vertex
-    image `image`, one per monomial; `image` must be the image of some edge
-    monomial, so that each vertex it uses has an edge inside its support.
-    Backtracking picks the exponent of each such edge in turn, and a vertex
-    must be used up by its last edge.  More than `budget` steps raise
-    BudgetError."""
+def _fiber(ends, image, budget: int) -> list[Monomial]:
+    """The edge monomials with vertex image `image`; `image` must be the
+    image of some edge monomial, so that each vertex it uses has an edge
+    inside its support.  Backtracking picks the exponent of each such edge
+    in turn, and a vertex must be used up by its last edge.  More than
+    `budget` steps raise BudgetError."""
     need = list(image)
     edges = [(e, u, v) for e, (u, v) in enumerate(ends) if need[u] and need[v]]
     last = {x: i for i, (_, u, v) in enumerate(edges) for x in (u, v)}
-    supports: list[int] = []
+    exps = [0] * len(ends)
+    members: list[Monomial] = []
     steps = 0
 
-    def place(i, support):
+    def place(i):
         nonlocal steps
         if i == len(edges):
-            supports.append(support)
+            members.append(Monomial(exps))
             return
         e, u, v = edges[i]
         for k in range(min(need[u], need[v]) + 1):
@@ -263,29 +265,31 @@ def _fiber(ends, image, budget: int) -> list[int]:
             need[u] -= k
             need[v] -= k
             if not (last[u] == i and need[u] or last[v] == i and need[v]):
-                place(i + 1, support | (1 << e) if k else support)
+                exps[e] = k
+                place(i + 1)
             need[u] += k
             need[v] += k
+        exps[e] = 0
 
-    place(0, 0)
-    return supports
+    place(0)
+    return members
 
 
-def _walk_fibers(graph: SimpleGraph, max_deg: int, budget: int):
-    """(image, fiber supports) at the vertex image of each closed even walk of length <= 2*max_deg,
-    among them the degree of every primitive binomial up to max_deg (Villarreal, Comm. Algebra 1995;
-    Ohsugi-Hibi, J. Algebra 1999); `budget` caps the walk search's nodes and each fiber's steps."""
-    walks = minimal_closed_even_walks(graph, 2 * max_deg, budget)
+def walk_fibers(graph: SimpleGraph, walks, budget: int = DEFAULT_BUDGET) -> list[tuple]:
+    """(image, members) at each distinct vertex image of `walks`, in ascending
+    image order: the image as a tuple over graph.vertices, and the fiber's
+    edge monomials.  `budget` caps each fiber's backtracking steps."""
     ends = [tuple(graph.vertex_index[x] for x in e.ends) for e in graph.edges]
-    for image in sorted({tuple(map(w.vertices[1:].count, graph.vertices)) for w in walks}):
-        yield image, _fiber(ends, image, budget)
+    images = sorted({tuple(map(w.vertices[1:].count, graph.vertices)) for w in walks})
+    return [(image, _fiber(ends, image, budget)) for image in images]
 
 
 def minimal_generators_oracle(
     graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, int]:
     """Minimal generator counts of the toric ideal per degree, 2..max_deg,
-    from the fibers of the edge map at the vertex images of closed even walks.
+    from the fibers of the edge map at the vertex images of closed even walks
+    of length <= 2*max_deg.
 
     A fiber is the set of edge monomials with one vertex image b.  The ideal
     has c - 1 minimal generators in degree b, c being the fiber's components
@@ -293,15 +297,18 @@ def minimal_generators_oracle(
     then u - u' = x_e (u/x_e - u'/x_e) comes from lower degrees.  Every
     minimal binomial generator is primitive, since the universal Markov
     basis lies in the Graver basis (Charalambous-Katsabekis-Thoma, Proc. AMS
-    2007), so every b that carries one is a walk image.  `budget` caps as in
-    _walk_fibers.
+    2007), so every b that carries one is the image of a walk that the search
+    finds (Villarreal, Comm. Algebra 1995; Ohsugi-Hibi, J. Algebra 1999).
+    `budget` caps the walk search's nodes and each fiber's steps.
     """
     if max_deg < 2:
         raise DomainError("max_deg must be at least 2")
     out = dict.fromkeys(range(2, max_deg + 1), 0)
-    for image, fiber in _walk_fibers(graph, max_deg, budget):
+    walks = minimal_closed_even_walks(graph, 2 * max_deg, budget)
+    for image, fiber in walk_fibers(graph, walks, budget):
         components: list[int] = []  # disjoint unions of the members' supports
-        for s in fiber:
+        for m in fiber:
+            s = m.support
             rest = []
             for c in components:
                 if c & s:
@@ -314,33 +321,28 @@ def minimal_generators_oracle(
     return out
 
 
-def groebner_certificate_failures(
-    graph: SimpleGraph, basis, order: GrevlexOrder, budget: int = DEFAULT_BUDGET
-) -> list[str]:
+def groebner_certificate_failures(graph: SimpleGraph, basis, order: GrevlexOrder, fibers) -> list[str]:
     """Why `basis` is not the reduced Groebner basis of I_G; empty if it is.
     The elements outside I_G, not led by their leading term, or not reduced
-    come first; then each walk image, as a vertex monomial, whose fiber has
-    other than one member outside in(basis).  S/in(I_G) has one per fiber, and
-    each generator of in(I_G) leads a primitive binomial, of degree at most
-    default_max_len(graph) // 2 (Sturmfels, GBCP, Ch. 4), so its fiber is
-    checked.  Leads must be squarefree, else DomainError; `budget` caps as in
-    _walk_fibers."""
+    come first; then each image, as a vertex monomial, whose fiber has other
+    than one member outside in(basis).  S/in(I_G) has one per fiber, and each
+    generator of in(I_G) leads a primitive binomial, whose degree is the image
+    of a primitive walk (Sturmfels, GBCP, Ch. 4).  So `fibers` must be
+    walk_fibers of walks that include every primitive walk of length <=
+    default_max_len(graph); other walks may be present."""
     leads = _Leads(basis, order)
-    for lead in (g.lhs for g in leads.basis if not g.lhs.is_squarefree()):
-        raise DomainError(f"leading term {format_monomial(lead, order.names)} is not squarefree")
 
-    def divisors(s):  # how many leading terms divide a monomial with edge support s
-        return leads.within(s).bit_count()
+    def divisors(m):  # how many leading terms divide m
+        return sum(1 for _ in leads.divisors(m))
 
     def image(m):
         return sorted(v for e, x in zip(graph.edges, m.exps) for v in e.ends * x)
 
     failures = [format_binomial(g, order.names) for g in basis
                 if image(g.lhs) != image(g.rhs) or order.compare(g.lhs, g.rhs) <= 0
-                or divisors(g.lhs.support) != 1 or divisors(g.rhs.support)]
+                or divisors(g.lhs) != 1 or divisors(g.rhs)]
     return failures + [format_monomial(Monomial(b), graph.vertices)
-                       for b, fiber in _walk_fibers(graph, default_max_len(graph) // 2, budget)
-                       if sum(not divisors(s) for s in fiber) != 1]
+                       for b, fiber in fibers if sum(not divisors(m) for m in fiber) != 1]
 
 
 def krull_dim(graph: SimpleGraph) -> int:

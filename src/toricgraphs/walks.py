@@ -14,7 +14,7 @@ of its edge-name sequence.
 from __future__ import annotations
 
 from .errors import DEFAULT_BUDGET, BudgetError, DomainError
-from .graphs import SimpleGraph, build_grd
+from .graphs import SimpleGraph
 from .grobner import Binomial, Monomial
 
 
@@ -221,11 +221,6 @@ def family_initial_generators(graph: SimpleGraph) -> list[Monomial]:
         gens += [Monomial.from_variables(nvars, [idx[f"a{i}"]] + evens)
                  for i in range(1, fam.d + 1)]
     return gens
-
-
-def grd_primitive_walks(r: int, d: int) -> list[ClosedEvenWalk]:
-    """Closed-form primitive walks of G(r,d); see family_primitive_walks."""
-    return family_primitive_walks(build_grd(r, d))
 
 
 def default_max_len(graph: SimpleGraph) -> int:

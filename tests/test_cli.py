@@ -539,6 +539,23 @@ def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
     assert all(n <= 1 for n in calls.values()), calls
 
 
+def test_verify_searches_for_walks_twice(capsys, monkeypatch):
+    # The chain's search serves primitive-walks and the Groebner certificate;
+    # toric-generator-degrees runs the other one.
+    import toricgraphs.invariants as invariants
+    import toricgraphs.walks as walks
+
+    searches = []
+    for module in (walks, invariants):
+        def counted(*args, _fn=module.minimal_closed_even_walks, **kwargs):
+            searches.append(args[1])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "minimal_closed_even_walks", counted)
+    code, _, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
+    assert code == 0
+    assert searches == [6, 6]
+
+
 def test_verify_rejects_graph_file(capsys, tmp_path):
     f = tmp_path / "g.json"
     f.write_text(serialize_graph(build_grd(3, 2)))

@@ -32,8 +32,14 @@ from toricgraphs.grobner import (
     format_binomial,
     format_monomial,
 )
-from toricgraphs.invariants import groebner_certificate_failures, quotient_numerator_from_betti
-from toricgraphs.walks import enumerate_primitive_walks, family_primitive_walks, walk_to_binomial
+from toricgraphs.invariants import groebner_certificate_failures, quotient_numerator_from_betti, walk_fibers
+from toricgraphs.walks import (
+    default_max_len,
+    enumerate_primitive_walks,
+    family_primitive_walks,
+    minimal_closed_even_walks,
+    walk_to_binomial,
+)
 from toricgraphs.linalg import sparse_rational_rank
 
 
@@ -282,14 +288,14 @@ def test_packed_images_hold_max_deg(max_deg):
 
 
 def fibers_reference(graph, deg):
-    """The brute-force fiber pass: vertex image -> the edge supports of the
+    """The brute-force fiber pass: vertex image -> the exponent tuples of the
     degree-deg edge monomials with that image, one entry per monomial."""
     q = len(graph.edges)
     images = [graph.edge_vertex_exponents(e) for e in range(q)]
     fibers = {}
     for combo in combinations_with_replacement(range(q), deg):
         image = tuple(map(sum, zip(*(images[e] for e in combo))))
-        fibers.setdefault(image, []).append(sum(1 << e for e in set(combo)))
+        fibers.setdefault(image, []).append(tuple(map(combo.count, range(q))))
     return fibers
 
 
@@ -301,9 +307,9 @@ def oracles_reference(graph, max_deg):
         fibers = fibers_reference(graph, deg)
         dims.append(len(fibers))
         count = 0
-        for supports in fibers.values():
+        for members in fibers.values():
             components = []
-            for s in supports:
+            for s in (sum(1 << e for e, x in enumerate(m) if x) for m in members):
                 rest = []
                 for c in components:
                     if c & s:
@@ -334,6 +340,32 @@ def test_oracles_match_fiber_reference_on_families(graph):
     dims, counts = oracles_reference(graph, 5)
     assert hilbert_enumeration_oracle(graph, 5) == dims
     assert minimal_generators_oracle(graph, 5) == counts
+
+
+def assert_walk_fibers_match_reference(graph):
+    """walk_fibers at the image of every closed even walk up to the graph's
+    bound lists exactly the brute-force fiber, multiplicities included."""
+    references = {}
+    for image, members in walk_fibers(graph, minimal_closed_even_walks(graph, default_max_len(graph))):
+        deg = sum(image) // 2
+        if deg not in references:
+            references[deg] = fibers_reference(graph, deg)
+        assert sorted(m.exps for m in members) == sorted(references[deg][image]), (graph.edges, image)
+
+
+def test_walk_fibers_match_fiber_reference_on_atlas():
+    nx = pytest.importorskip("networkx")
+    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
+              if 0 < g.number_of_edges() <= 7 and nx.is_connected(g)]
+    assert len(graphs) == 108
+    for g in graphs:
+        assert_walk_fibers_match_reference(g)
+
+
+@pytest.mark.parametrize("graph", [build_grd(3, d) for d in range(2, 6)] + [build_k2d(d) for d in range(3, 9)],
+                         ids=lambda g: repr(g.family))
+def test_walk_fibers_match_fiber_reference_on_families(graph):
+    assert_walk_fibers_match_reference(graph)
 
 
 def test_generator_oracle_g812():
@@ -470,6 +502,12 @@ def closed_form_basis(graph):
     return basis, order
 
 
+def search_fibers(graph):
+    """The fibers the certificate reads in verify: at the image of each walk
+    that the primitive walk search finds up to the graph's bound."""
+    return walk_fibers(graph, enumerate_primitive_walks(graph))
+
+
 def image_text(graph, m):
     """The vertex image of an edge monomial, written as a vertex monomial."""
     image = [0] * len(graph.vertices)
@@ -483,16 +521,18 @@ def image_text(graph, m):
                          ids=["G33", "G34", "G35", "K23", "K24", "K25", "K26"])
 def test_certificate_fails_when_any_generator_is_dropped(graph):
     basis, order = closed_form_basis(graph)
-    assert groebner_certificate_failures(graph, basis, order) == []
+    fibers = search_fibers(graph)
+    assert groebner_certificate_failures(graph, basis, order, fibers) == []
     for k, g in enumerate(basis):
         # The dropped lead and the tail both lie outside in(rest) in their fiber.
-        assert groebner_certificate_failures(graph, basis[:k] + basis[k + 1:], order) == [image_text(graph, g.lhs)]
+        assert groebner_certificate_failures(graph, basis[:k] + basis[k + 1:], order, fibers) == [
+            image_text(graph, g.lhs)]
 
 
 def test_certificate_passes_beyond_buchbergers_pair_cap():
     # Buchberger on these 780 binomials forms over 300,000 S-pairs.
     graph = build_k2d(40)
-    assert groebner_certificate_failures(graph, *closed_form_basis(graph)) == []
+    assert groebner_certificate_failures(graph, *closed_form_basis(graph), search_fibers(graph)) == []
 
 
 def test_certificate_names_an_element_outside_the_ideal():
@@ -500,7 +540,7 @@ def test_certificate_names_an_element_outside_the_ideal():
     basis, order = closed_form_basis(graph)
     outside = order.normalize(Binomial(basis[0].lhs, basis[-1].rhs))
     assert image_text(graph, outside.lhs) != image_text(graph, outside.rhs)
-    failures = groebner_certificate_failures(graph, [outside] + basis[1:], order)
+    failures = groebner_certificate_failures(graph, [outside] + basis[1:], order, search_fibers(graph))
     assert failures[0] == format_binomial(outside, order.names)
 
 
@@ -508,10 +548,11 @@ def test_certificate_names_an_element_led_by_its_tail_or_repeated():
     # Neither changes in(basis), so only the element tests can see them.
     graph = build_grd(3, 3)
     basis, order = closed_form_basis(graph)
+    fibers = search_fibers(graph)
     first = format_binomial(basis[0], order.names)
     flipped = format_binomial(-basis[0], order.names)
-    assert groebner_certificate_failures(graph, [-basis[0]] + basis[1:], order) == [flipped]
-    assert groebner_certificate_failures(graph, basis + [basis[0]], order) == [first, first]
+    assert groebner_certificate_failures(graph, [-basis[0]] + basis[1:], order, fibers) == [flipped]
+    assert groebner_certificate_failures(graph, basis + [basis[0]], order, fibers) == [first, first]
 
 
 def test_certificate_fails_on_a_tail_divisible_by_another_lead():
@@ -520,45 +561,45 @@ def test_certificate_fails_on_a_tail_divisible_by_another_lead():
     # tail is the other element's leading term.
     graph = graph_from_pairs([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     order = default_order(graph)
+    fibers = search_fibers(graph)
     basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
     assert [format_binomial(g, order.names) for g in basis] == ["g1*g4 - g0*g5", "g2*g3 - g0*g5"]
-    assert groebner_certificate_failures(graph, basis, order) == []
+    assert groebner_certificate_failures(graph, basis, order, fibers) == []
     unreduced = [basis[0], Binomial(basis[1].lhs, basis[0].lhs)]
-    assert groebner_certificate_failures(graph, unreduced, order) == ["g2*g3 - g1*g4"]
+    assert groebner_certificate_failures(graph, unreduced, order, fibers) == ["g2*g3 - g1*g4"]
 
 
-def test_certificate_refuses_a_non_squarefree_leading_term():
-    # C_8(1,2), the circulant graph; the element is from its reduced basis
-    # under declaration-order grevlex.
-    graph = graph_from_pairs([(0, 7), (0, 6), (0, 1), (0, 2), (1, 7), (1, 2), (1, 3), (2, 3),
-                              (2, 4), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)])
-    q = len(graph.edges)
-    element = Binomial(Monomial.from_variables(q, [1, 9, 14, 14]), Monomial.from_variables(q, [0, 10, 11, 15]))
-    assert image_text(graph, element.lhs) == image_text(graph, element.rhs)
-    with pytest.raises(DomainError, match=r"^leading term g1\*g9\*g14\^2 is not squarefree$"):
-        groebner_certificate_failures(graph, [element], default_order(graph))
+def test_certificate_accepts_non_squarefree_leading_terms():
+    # The two atlas graphs with at most 8 edges whose reduced basis under
+    # declaration-order grevlex has a non-squarefree lead, one lead each.
+    for pairs in ([(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (4, 5)],
+                  [(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (3, 6), (4, 6)]):
+        graph = graph_from_pairs(pairs)
+        order = default_order(graph)
+        basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
+        assert sum(not g.lhs.is_squarefree() for g in basis) == 1, pairs
+        fibers = search_fibers(graph)
+        assert groebner_certificate_failures(graph, basis, order, fibers) == [], pairs
+        for k in range(len(basis)):
+            assert groebner_certificate_failures(graph, basis[:k] + basis[k + 1:], order, fibers), (pairs, k)
 
 
 def test_certificate_agrees_with_buchberger_on_atlas():
-    # Every reduced basis with squarefree leads is certified, and is minimal:
-    # dropping any one element breaks the certificate.  Two graphs have a
-    # non-squarefree lead, which the certificate refuses.
+    # Every reduced basis is certified, non-squarefree leads included, and
+    # is minimal: dropping any one element breaks the certificate.
     nx = pytest.importorskip("networkx")
     graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
               if 0 < g.number_of_edges() <= 8 and nx.is_connected(g)]
-    refused = 0
+    non_squarefree = 0
     for g in graphs:
         order = default_order(g)
         basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(g)], order)
-        if not all(f.lhs.is_squarefree() for f in basis):
-            refused += 1
-            with pytest.raises(DomainError, match="not squarefree"):
-                groebner_certificate_failures(g, basis, order)
-            continue
-        assert groebner_certificate_failures(g, basis, order) == [], g.edges
+        fibers = search_fibers(g)
+        assert groebner_certificate_failures(g, basis, order, fibers) == [], g.edges
+        non_squarefree += not all(f.lhs.is_squarefree() for f in basis)
         for k in range(len(basis)):
-            assert groebner_certificate_failures(g, basis[:k] + basis[k + 1:], order), (g.edges, k)
-    assert (len(graphs), refused) == (199, 2)
+            assert groebner_certificate_failures(g, basis[:k] + basis[k + 1:], order, fibers), (g.edges, k)
+    assert (len(graphs), non_squarefree) == (199, 2)
 
 
 # ---------------------------------------------------------------------------

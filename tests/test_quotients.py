@@ -18,7 +18,6 @@ from toricgraphs import (
     buchberger,
     colon_with_monomial,
     default_order,
-    grd_primitive_walks,
     hilbert_from_betti,
     initial_ideal,
     quotient_profile,
@@ -27,6 +26,7 @@ from toricgraphs import (
 from toricgraphs import quotients as quotients_module
 from toricgraphs.grobner import format_monomial, minimalize_monomials
 from toricgraphs.invariants import quotient_numerator_from_betti
+from toricgraphs.walks import family_primitive_walks
 from toricgraphs.linalg import sparse_rational_rank
 from toricgraphs.walks import family_primitive_walks
 
@@ -43,7 +43,7 @@ def mono(order, text):
 def family_initial(r, d):
     graph = build_grd(r, d)
     order = default_order(graph)
-    gb = buchberger([walk_to_binomial(w) for w in grd_primitive_walks(r, d)], order)
+    gb = buchberger([walk_to_binomial(w) for w in family_primitive_walks(build_grd(r, d))], order)
     return order, initial_ideal(gb, order)
 
 

@@ -11,13 +11,13 @@ from toricgraphs import (
     build_grd,
     build_k2d,
     enumerate_primitive_walks,
-    grd_primitive_walks,
     is_minimal,
     is_primitive,
     minimal_closed_even_walks,
     parse_graph,
     walk_to_binomial,
 )
+from toricgraphs.walks import family_primitive_walks
 
 
 def decomposes_at_basepoint(walk: ClosedEvenWalk) -> bool:
@@ -218,12 +218,12 @@ def test_k2d_primitive_walk_count(d):
 def test_enumeration_matches_closed_form(r, d):
     g = build_grd(r, d)
     found = {w.canonical_form() for w in enumerate_primitive_walks(g, 2 * r)}
-    expected = {w.canonical_form() for w in grd_primitive_walks(r, d)}
+    expected = {w.canonical_form() for w in family_primitive_walks(build_grd(r, d))}
     assert found == expected
 
 
 def test_grd_walks_g32_explicit():
-    walks = grd_primitive_walks(3, 2)
+    walks = family_primitive_walks(build_grd(3, 2))
     assert [w.edge_names for w in walks] == [
         ("a1", "b1", "b2", "a2"),
         ("a1", "e1", "e2", "e3", "e4", "b1"),
@@ -232,14 +232,14 @@ def test_grd_walks_g32_explicit():
 
 
 def test_grd_walks_g35_count():
-    assert len(grd_primitive_walks(3, 5)) == 15
+    assert len(family_primitive_walks(build_grd(3, 5))) == 15
 
 
 def test_grd_walks_domain_errors():
     with pytest.raises(DomainError):
-        grd_primitive_walks(2, 4)
+        family_primitive_walks(build_grd(2, 4))
     with pytest.raises(DomainError):
-        grd_primitive_walks(3, 1)
+        family_primitive_walks(build_grd(3, 1))
 
 
 @pytest.mark.parametrize("graph", [build_k2d(3), build_grd(3, 3), bowtie_graph()])
