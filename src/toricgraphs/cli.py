@@ -113,11 +113,12 @@ def _closed_forms(graph):
 class Chain:
     """The stage chain on one graph under one monomial order; each stage is cached.
 
-    `searched` is the primitive walk search up to default_max_len, run once.
-    Walks are the closed forms on a family graph and the search's output on
-    any other; the basis is Buchberger's unless `verify` assigns a certified
-    one.  `budget` is the walk search's node budget and caps Buchberger's
-    S-pairs at max(1000, budget // 50), 200,000 at the default.
+    `searched` is the primitive walk search up to default_max_len, `fibers`
+    the edge map's fibers at its walks' images.  Walks are the closed forms
+    on a family graph and the search's output on any other; the basis is
+    Buchberger's unless `verify` assigns a certified one.  `budget` caps the
+    search's nodes, each fiber's steps and, at max(1000, budget // 50),
+    Buchberger's S-pairs.
     """
 
     def __init__(self, graph: SimpleGraph, order: GrevlexOrder, budget: int):
@@ -128,6 +129,10 @@ class Chain:
     @functools.cached_property
     def searched(self):
         return enumerate_primitive_walks(self.graph, node_budget=self.budget)
+
+    @functools.cached_property
+    def fibers(self):
+        return walk_fibers(self.graph, self.searched, self.budget)
 
     @functools.cached_property
     def walks(self):
@@ -349,12 +354,11 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
 
     Each chain stage runs on first use inside the check named after it, so
     it is charged to that check; a check whose stage raised is skipped with
-    a note.  The walk search runs once, in `primitive-walks`; the
-    `groebner-basis` check reads the fibers at its walks' images, never at
-    the closed-form walks, and certifies the closed-form basis, which the
-    chain then holds.  An uncertified basis raises, so the checks that read
-    it are skipped.  `toric-generator-degrees` keeps its own walk search, to
-    the degree of the closed-form table's top row.
+    a note, so a walk search that ran out of budget is not run again.  The
+    fibers at the searched walks' images, never at the closed-form walks,
+    serve `groebner-basis`, which certifies the closed-form basis that the
+    chain then holds, and `toric-generator-degrees`.  An uncertified basis
+    raises, so the checks that read it are skipped.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
@@ -372,14 +376,13 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
 
     def check_basis():
         closed = [order.normalize(walk_to_binomial(w)) for w in chain.walks]
-        fibers = walk_fibers(graph, chain.searched, budget)
-        failures = groebner_certificate_failures(graph, closed, order, fibers)
+        failures = groebner_certificate_failures(graph, closed, order, chain.fibers)
         if failures:
             raise ConsistencyError("not the reduced Groebner basis: " + ", ".join(failures))
         chain.basis = closed
         return [], []
 
-    report.run("groebner-basis", check_basis)
+    report.run("groebner-basis", check_basis, needs="primitive-walks")
     report.run("initial-ideal", lambda: (readable(family_initial_generators(graph)),
                                          readable(chain.initial.min_gens)), needs="groebner-basis")
 
@@ -405,9 +408,9 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
         row0 = {j: b for (i, j), b in fam.betti.items() if i == 0}
         top = max(row0)
         expected = {j: row0.get(j, 0) for j in range(2, top + 1)}
-        return expected, minimal_generators_oracle(graph, top, budget)
+        return expected, minimal_generators_oracle(graph, top, chain.fibers)
 
-    report.run("toric-generator-degrees", check_toric_generators)
+    report.run("toric-generator-degrees", check_toric_generators, needs="primitive-walks")
 
     series = hilbert_from_betti(fam.betti, q)
 
@@ -457,11 +460,9 @@ def _build_parser() -> _Parser:
         _add_graph_args(sub)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="search-node budget for walk enumeration (>= 0); Buchberger (not "
-                              "run by verify) is also capped at max(1000, BUDGET // 50) S-pairs, "
-                              "verify's Groebner certificate and the generator oracle at BUDGET "
-                              "walk-search nodes and BUDGET steps per fiber, and the Hilbert "
-                              "oracle at BUDGET monomials per degree")
+                         help="walk-search node budget (>= 0); also caps each walk-image fiber "
+                              "at BUDGET steps, the Hilbert oracle at BUDGET monomials per degree "
+                              "and Buchberger (not run by verify) at max(1000, BUDGET // 50) S-pairs")
         if order:
             sub.add_argument("--order", help="comma-separated variable priority, highest first "
                                              "(default: the edges' declaration order)")

@@ -5,9 +5,9 @@ All polynomial arithmetic is over exact integers; (1-t) factors are removed
 by synthetic division which asserts a zero remainder.  The Hilbert oracle
 packs each vertex image into one int and counts sumsets of images.
 `walk_fibers` lists the fibers of the edge map, as exact edge monomials, at
-the vertex images of closed even walks, the only degrees where minimal
-generators and the leads of a reduced Groebner basis can lie; the generator
-oracle reads their supports and the Groebner certificate their divisibility.
+the vertex images of given walks; at primitive walks' images lie all minimal
+generators and leads of a reduced Groebner basis, which the generator oracle
+and the Groebner certificate read off one such list.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .graphs import FamilyTag, SimpleGraph
 from .grobner import GrevlexOrder, Monomial, _Leads, format_binomial, format_monomial
 from .linalg import rational_rank
 from .quotients import BettiTable
-from .walks import minimal_closed_even_walks
 
 
 @dataclass(frozen=True)
@@ -284,12 +283,11 @@ def walk_fibers(graph: SimpleGraph, walks, budget: int = DEFAULT_BUDGET) -> list
     return [(image, _fiber(ends, image, budget)) for image in images]
 
 
-def minimal_generators_oracle(
-    graph: SimpleGraph, max_deg: int, budget: int = DEFAULT_BUDGET
-) -> dict[int, int]:
+def minimal_generators_oracle(graph: SimpleGraph, max_deg: int, fibers) -> dict[int, int]:
     """Minimal generator counts of the toric ideal per degree, 2..max_deg,
-    from the fibers of the edge map at the vertex images of closed even walks
-    of length <= 2*max_deg.
+    from `fibers` of graph's edge map as walk_fibers lists them, which must
+    include the image of every primitive walk of length <= 2*max_deg; fibers
+    above max_deg are skipped.
 
     A fiber is the set of edge monomials with one vertex image b.  The ideal
     has c - 1 minimal generators in degree b, c being the fiber's components
@@ -297,15 +295,15 @@ def minimal_generators_oracle(
     then u - u' = x_e (u/x_e - u'/x_e) comes from lower degrees.  Every
     minimal binomial generator is primitive, since the universal Markov
     basis lies in the Graver basis (Charalambous-Katsabekis-Thoma, Proc. AMS
-    2007), so every b that carries one is the image of a walk that the search
-    finds (Villarreal, Comm. Algebra 1995; Ohsugi-Hibi, J. Algebra 1999).
-    `budget` caps the walk search's nodes and each fiber's steps.
+    2007), so every b that carries one is the image of a primitive walk
+    (Villarreal, Comm. Algebra 1995; Ohsugi-Hibi, J. Algebra 1999).
     """
     if max_deg < 2:
         raise DomainError("max_deg must be at least 2")
     out = dict.fromkeys(range(2, max_deg + 1), 0)
-    walks = minimal_closed_even_walks(graph, 2 * max_deg, budget)
-    for image, fiber in walk_fibers(graph, walks, budget):
+    for image, fiber in fibers:
+        if sum(image) > 2 * max_deg:
+            continue
         components: list[int] = []  # disjoint unions of the members' supports
         for m in fiber:
             s = m.support

@@ -396,18 +396,18 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
     assert doc["status"] == "budget"
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses.pop("primitive-walks") == "budget"
-    # --budget also caps the Groebner certificate's and the generator
-    # oracle's walk searches and the Hilbert oracle's monomials per degree
-    # (G(3,3) needs 55 in degree 2), so all three run out too, and the
-    # checks that read the certified basis are skipped.
-    skipped = ["initial-ideal", "linear-quotients", "betti-linear-quotients", "betti-taylor-oracle"]
+    # The Groebner certificate and the generator oracle read the exhausted
+    # walk search's fibers, so both are skipped, and so are the checks that
+    # read the certified basis.  --budget also caps the Hilbert oracle's
+    # monomials per degree (G(3,3) needs 55 in degree 2), so it runs out too.
+    skipped = ["groebner-basis", "initial-ideal", "linear-quotients", "betti-linear-quotients",
+               "betti-taylor-oracle", "toric-generator-degrees"]
     assert sorted(statuses) == sorted(set(VERIFY_CHECKS[1:]) - set(skipped))
-    assert statuses.pop("groebner-basis") == "budget"
-    assert statuses.pop("toric-generator-degrees") == "budget"
     assert statuses.pop("hilbert-enumeration") == "budget"
     assert set(statuses.values()) == {"pass"}
     assert doc["notes"] == [f"{name} skipped: no result from {need}" for name, need in zip(
-        skipped, ["groebner-basis", "initial-ideal", "linear-quotients", "initial-ideal"])]
+        skipped, ["primitive-walks", "groebner-basis", "initial-ideal", "linear-quotients",
+                  "initial-ideal", "primitive-walks"])]
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10")
     assert code == 3
     assert "BUDGET primitive-walks" in out and out.rstrip().endswith("overall: budget")
@@ -539,21 +539,24 @@ def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
     assert all(n <= 1 for n in calls.values()), calls
 
 
-def test_verify_searches_for_walks_twice(capsys, monkeypatch):
-    # The chain's search serves primitive-walks and the Groebner certificate;
-    # toric-generator-degrees runs the other one.
-    import toricgraphs.invariants as invariants
+def test_verify_searches_for_walks_once(capsys, monkeypatch):
+    # One walk search and one fiber pass serve primitive-walks, the Groebner
+    # certificate and toric-generator-degrees; a search that runs out of
+    # budget is not run again, and no fibers are listed without it.
+    import toricgraphs.cli as cli
     import toricgraphs.walks as walks
 
-    searches = []
-    for module in (walks, invariants):
-        def counted(*args, _fn=module.minimal_closed_even_walks, **kwargs):
-            searches.append(args[1])
+    calls = []
+    for module, name in ((walks, "minimal_closed_even_walks"), (cli, "walk_fibers")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, "minimal_closed_even_walks", counted)
-    code, _, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
-    assert code == 0
-    assert searches == [6, 6]
+        monkeypatch.setattr(module, name, counted)
+    assert invoke(capsys, "verify", "--grd", "3", "3", "--json")[0] == 0
+    assert calls == ["minimal_closed_even_walks", "walk_fibers"]
+    calls.clear()
+    assert invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10", "--json")[0] == 3
+    assert calls == ["minimal_closed_even_walks"]
 
 
 def test_verify_rejects_graph_file(capsys, tmp_path):

@@ -59,6 +59,13 @@ def path_graph(n):
     return parse_graph(json.dumps(doc))
 
 
+def search_fibers(graph):
+    """The fibers that verify's certificate and generator oracle read: at the
+    image of each walk that the primitive walk search finds up to the graph's
+    bound."""
+    return walk_fibers(graph, enumerate_primitive_walks(graph))
+
+
 def graph_from_pairs(pairs):
     vertices = sorted({str(v) for pair in pairs for v in pair})
     edges = [{"name": f"g{k}", "ends": [str(u), str(v)]} for k, (u, v) in enumerate(pairs)]
@@ -221,23 +228,30 @@ def test_enumeration_budget_checked_before_enumerating(monkeypatch, oracle):
 
 
 def test_minimal_generators_g35():
-    assert minimal_generators_oracle(build_grd(3, 5), 3) == {2: 10, 3: 5}
+    graph = build_grd(3, 5)
+    assert minimal_generators_oracle(graph, 3, search_fibers(graph)) == {2: 10, 3: 5}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_minimal_generators_k2d(d):
-    assert minimal_generators_oracle(build_k2d(d), 3) == {2: d * (d - 1) // 2, 3: 0}
+    graph = build_k2d(d)
+    assert minimal_generators_oracle(graph, 3, search_fibers(graph)) == {2: d * (d - 1) // 2, 3: 0}
 
 
 def test_minimal_generators_tree():
-    assert minimal_generators_oracle(path_graph(5), 4) == {2: 0, 3: 0, 4: 0}
+    graph = path_graph(5)
+    assert minimal_generators_oracle(graph, 4, search_fibers(graph)) == {2: 0, 3: 0, 4: 0}
 
 
 def test_minimal_generators_even_cycle():
     # a single 6-cycle: the toric ideal is principal, generated in degree 3
-    assert minimal_generators_oracle(cycle_graph(6), 4) == {2: 0, 3: 1, 4: 0}
+    graph = cycle_graph(6)
+    fibers = search_fibers(graph)
+    assert minimal_generators_oracle(graph, 4, fibers) == {2: 0, 3: 1, 4: 0}
     # at max_deg 3 the walk of length exactly 2 * max_deg must be found
-    assert minimal_generators_oracle(cycle_graph(6), 3) == {2: 0, 3: 1}
+    assert minimal_generators_oracle(graph, 3, fibers) == {2: 0, 3: 1}
+    # at max_deg 2 the degree-3 fiber is present but not counted
+    assert minimal_generators_oracle(graph, 2, fibers) == {2: 0}
 
 
 def rank_reference(graph, max_deg):
@@ -272,7 +286,7 @@ def test_minimal_generators_match_rank_reference_on_atlas():
     assert len(graphs) == 108
     for g in graphs:
         max_deg = max(2, min(len(g.edges), 5))
-        assert minimal_generators_oracle(g, max_deg) == rank_reference(g, max_deg), g.edges
+        assert minimal_generators_oracle(g, max_deg, search_fibers(g)) == rank_reference(g, max_deg), g.edges
 
 
 @pytest.mark.parametrize("max_deg", [4, 8])
@@ -284,7 +298,7 @@ def test_packed_images_hold_max_deg(max_deg):
     path = graph_from_pairs([("d", "a"), ("a", "e"), ("e", "c"), ("c", "b")])
     assert path.vertices == ["a", "b", "c", "d", "e"]
     assert hilbert_enumeration_oracle(path, max_deg) == [comb(k + 3, 3) for k in range(max_deg + 1)]
-    assert minimal_generators_oracle(path, max_deg) == {j: 0 for j in range(2, max_deg + 1)}
+    assert minimal_generators_oracle(path, max_deg, search_fibers(path)) == {j: 0 for j in range(2, max_deg + 1)}
 
 
 def fibers_reference(graph, deg):
@@ -331,7 +345,7 @@ def test_oracles_match_fiber_reference_on_atlas():
     for g in graphs:
         dims, counts = oracles_reference(g, 6)
         assert hilbert_enumeration_oracle(g, 6) == dims, g.edges
-        assert minimal_generators_oracle(g, 6) == counts, g.edges
+        assert minimal_generators_oracle(g, 6, search_fibers(g)) == counts, g.edges
 
 
 @pytest.mark.parametrize("graph", [build_grd(3, d) for d in range(2, 6)] + [build_k2d(d) for d in range(3, 9)],
@@ -339,7 +353,7 @@ def test_oracles_match_fiber_reference_on_atlas():
 def test_oracles_match_fiber_reference_on_families(graph):
     dims, counts = oracles_reference(graph, 5)
     assert hilbert_enumeration_oracle(graph, 5) == dims
-    assert minimal_generators_oracle(graph, 5) == counts
+    assert minimal_generators_oracle(graph, 5, search_fibers(graph)) == counts
 
 
 def assert_walk_fibers_match_reference(graph):
@@ -373,7 +387,8 @@ def test_generator_oracle_g812():
     # monomials; only the 78 fibers at the vertex images of its walks are
     # enumerated.
     expected = {j: 0 for j in range(2, 9)} | {2: 66, 8: 12}
-    assert minimal_generators_oracle(build_grd(8, 12), 8) == expected
+    graph = build_grd(8, 12)
+    assert minimal_generators_oracle(graph, 8, search_fibers(graph)) == expected
 
 
 def test_generator_oracle_budget_caps_walk_search_and_each_fiber():
@@ -382,15 +397,16 @@ def test_generator_oracle_budget_caps_walk_search_and_each_fiber():
     # whose one member is f0 f1 f2, takes 13 steps.
     graph = cycle_graph(3)
     with pytest.raises(BudgetError, match=r"^walk search exceeded the node budget of 10$"):
-        minimal_generators_oracle(graph, 3, budget=10)
+        minimal_closed_even_walks(graph, 6, node_budget=10)
+    walks = minimal_closed_even_walks(graph, 6, node_budget=11)
     with pytest.raises(BudgetError, match=r"^a fiber of degree 3 exceeded the step budget of 12$"):
-        minimal_generators_oracle(graph, 3, budget=12)
-    assert minimal_generators_oracle(graph, 3, budget=13) == {2: 0, 3: 0}
+        walk_fibers(graph, walks, budget=12)
+    assert minimal_generators_oracle(graph, 3, walk_fibers(graph, walks, budget=13)) == {2: 0, 3: 0}
 
 
 def test_minimal_generators_validation():
     with pytest.raises(DomainError):
-        minimal_generators_oracle(build_k2d(2), 1)
+        minimal_generators_oracle(build_k2d(2), 1, [])
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +516,6 @@ def closed_form_basis(graph):
     basis = sorted(map(order.normalize, map(walk_to_binomial, family_primitive_walks(graph))),
                    key=lambda g: (g.degree, order.key(g.lhs), order.key(g.rhs)))
     return basis, order
-
-
-def search_fibers(graph):
-    """The fibers the certificate reads in verify: at the image of each walk
-    that the primitive walk search finds up to the graph's bound."""
-    return walk_fibers(graph, enumerate_primitive_walks(graph))
 
 
 def image_text(graph, m):
@@ -619,6 +629,6 @@ def test_generator_count_bounded_by_initial_ideal():
         for m in ideal.min_gens:
             by_degree[m.degree] = by_degree.get(m.degree, 0) + 1
         top = max(by_degree, default=2)
-        oracle = minimal_generators_oracle(graph, top)
+        oracle = minimal_generators_oracle(graph, top, search_fibers(graph))
         for j, count in oracle.items():
             assert count <= by_degree.get(j, 0)
