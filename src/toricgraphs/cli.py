@@ -114,11 +114,11 @@ class Chain:
     """The stage chain on one graph under one monomial order; each stage is cached.
 
     `searched` is the primitive walk search up to default_max_len, `fibers`
-    the edge map's fibers at its walks' images.  Walks are the closed forms
-    on a family graph and the search's output on any other; the basis is
-    Buchberger's unless `verify` assigns a certified one.  `budget` caps the
-    search's nodes, each fiber's steps and, at max(1000, budget // 50),
-    Buchberger's S-pairs.
+    the edge map's fibers at its walks' images.  On every graph, family or
+    not, the basis is Buchberger's on the searched walks unless `verify`
+    assigns a certified closed-form one; no stage reads the closed forms.
+    `budget` caps the search's nodes, each fiber's steps and, at
+    max(1000, budget // 50), Buchberger's S-pairs.
     """
 
     def __init__(self, graph: SimpleGraph, order: GrevlexOrder, budget: int):
@@ -135,14 +135,8 @@ class Chain:
         return walk_fibers(self.graph, self.searched, self.budget)
 
     @functools.cached_property
-    def walks(self):
-        if self.graph.family is not None:
-            return family_primitive_walks(self.graph)
-        return self.searched
-
-    @functools.cached_property
     def basis(self):
-        return buchberger(map(walk_to_binomial, self.walks), self.order, max(1000, self.budget // 50))
+        return buchberger(map(walk_to_binomial, self.searched), self.order, max(1000, self.budget // 50))
 
     @functools.cached_property
     def initial(self):
@@ -355,10 +349,12 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     Each chain stage runs on first use inside the check named after it, so
     it is charged to that check; a check whose stage raised is skipped with
     a note, so a walk search that ran out of budget is not run again.  The
-    fibers at the searched walks' images, never at the closed-form walks,
-    serve `groebner-basis`, which certifies the closed-form basis that the
-    chain then holds, and `toric-generator-degrees`.  An uncertified basis
-    raises, so the checks that read it are skipped.
+    closed-form walks are read once, by `primitive-walks` and
+    `groebner-basis`; no chain stage reads them.  The fibers at the
+    searched walks' images serve `groebner-basis`, which certifies the
+    closed-form basis and assigns it to the chain in place of Buchberger's,
+    and `toric-generator-degrees`.  An uncertified basis raises, so the
+    checks that read it are skipped.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
@@ -372,10 +368,11 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     def readable(monomials):
         return sorted(format_monomial(m, order.names) for m in monomials)
 
-    report.run("primitive-walks", lambda: (walk_classes(chain.walks), walk_classes(chain.searched)))
+    closed_walks = family_primitive_walks(graph)
+    report.run("primitive-walks", lambda: (walk_classes(closed_walks), walk_classes(chain.searched)))
 
     def check_basis():
-        closed = [order.normalize(walk_to_binomial(w)) for w in chain.walks]
+        closed = [order.normalize(walk_to_binomial(w)) for w in closed_walks]
         failures = groebner_certificate_failures(graph, closed, order, chain.fibers)
         if failures:
             raise ConsistencyError("not the reduced Groebner basis: " + ", ".join(failures))
@@ -460,7 +457,8 @@ def _build_parser() -> _Parser:
         _add_graph_args(sub)
         sub.add_argument("--json", action="store_true", help="machine-readable output")
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="walk-search node budget (>= 0); also caps each walk-image fiber "
+                         help="walk-search node budget (>= 0), which gb, initial and betti "
+                              "spend on family graphs too; also caps each walk-image fiber "
                               "at BUDGET steps, the Hilbert oracle at BUDGET monomials per degree "
                               "and Buchberger (not run by verify) at max(1000, BUDGET // 50) S-pairs")
         if order:

@@ -53,12 +53,6 @@ class Monomial:
     def divides(self, other: Monomial) -> bool:
         return not self.support & ~other.support and all(map(le, self.exps, other.exps))
 
-    def __truediv__(self, other: Monomial) -> Monomial:
-        exps = tuple(map(sub, self.exps, other.exps))
-        if min(exps, default=0) < 0:
-            raise DomainError("inexact monomial division")
-        return Monomial(exps)
-
     def lcm(self, other: Monomial) -> Monomial:
         return Monomial(map(max, self.exps, other.exps))
 
@@ -76,13 +70,7 @@ class Monomial:
 
 
 def format_monomial(m: Monomial, names) -> str:
-    parts = []
-    for name, e in zip(names, m.exps):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in compress(zip(names, m.exps), m.exps)) or "1"
 
 
 class Binomial:
@@ -396,13 +384,14 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
 
 def initial_ideal(gb, order: GrevlexOrder) -> MonomialIdeal:
     """The ideal of leading terms of a Groebner basis, its minimal generators
-    stored ascending under the order."""
-    leads = []
-    for g in gb:
-        n = order.normalize(g)
-        if n is not None:
-            leads.append(n.lhs)
-    return MonomialIdeal.from_generators(leads, order)
+    stored ascending under the order.
+
+    Precondition: `gb` is a reduced Groebner basis with each leading term
+    first, as `buchberger` returns and as a closed form that
+    `groebner_certificate_failures` passed is; its leads are then the
+    minimal generators, so none is normalized or checked for divisibility.
+    """
+    return MonomialIdeal._from_minimal(sorted((g.lhs for g in gb), key=order.key))
 
 
 def default_order(graph: SimpleGraph, priority=None) -> GrevlexOrder:

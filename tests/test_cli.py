@@ -6,7 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from toricgraphs import BudgetError, betti_formula_k2d, build_grd, hilbert_from_betti, parse_graph, serialize_graph
+from toricgraphs import (
+    BudgetError,
+    betti_formula_k2d,
+    buchberger,
+    build_grd,
+    build_k2d,
+    default_order,
+    hilbert_from_betti,
+    parse_graph,
+    serialize_graph,
+    walk_to_binomial,
+)
+from toricgraphs.grobner import format_binomial
 from toricgraphs.walks import ClosedEvenWalk, family_primitive_walks
 from toricgraphs.cli import run
 
@@ -181,6 +193,24 @@ def test_gb_finishes_on_dense_graphs(capsys, tmp_path, pairs, size):
     for binomial in basis:
         lhs, rhs = binomial.split(" - ")
         assert image(lhs) == image(rhs)
+
+
+@pytest.mark.parametrize("flags, graph",
+                         [pytest.param(("--grd", "3", str(d)), build_grd(3, d), id=f"G(3,{d})") for d in (2, 3, 4)]
+                         + [pytest.param(("--k2d", str(d)), build_k2d(d), id=f"K(2,{d})") for d in (3, 4, 5)])
+def test_gb_on_family_graph_equals_buchberger_on_the_closed_forms(capsys, flags, graph):
+    # gb searches for the walks; Buchberger on the closed-form walks is the reference.
+    order = default_order(graph)
+    reference = buchberger(map(walk_to_binomial, family_primitive_walks(graph)), order)
+    code, out, _ = invoke(capsys, "gb", *flags, "--json")
+    assert code == 0
+    assert json.loads(out)["basis"] == [format_binomial(g, order.names) for g in reference]
+
+
+def test_gb_on_family_graph_reports_an_exhausted_walk_search(capsys):
+    code, out, err = invoke(capsys, "gb", "--grd", "3", "3", "--budget", "10")
+    assert (code, out) == (3, "")
+    assert err == "budget exhausted: walk search exceeded the node budget of 10\n"
 
 
 def test_initial_json_g35(capsys):
@@ -517,6 +547,7 @@ def test_verify_notes_the_taylor_cap(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--grd", "3", "3", "--json"),
+    ("gb", "--grd", "3", "3"),
     ("betti", "--grd", "3", "3", "--method", "quotients"),
     ("hilbert", "--graph", "FILE", "--method", "betti"),
 ])
@@ -526,16 +557,18 @@ def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
     f = tmp_path / "g.json"
     f.write_text(serialize_graph(build_grd(3, 2)))
     calls = {}
-    for name in ("buchberger", "initial_ideal", "quotient_profile"):
+    for name in ("enumerate_primitive_walks", "buchberger", "initial_ideal", "quotient_profile"):
         def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cli, name, counted)
     code, _, _ = invoke(capsys, *[str(f) if a == "FILE" else a for a in argv])
     assert code == 0
+    # Every command, on a family graph too, starts from one walk search;
     # verify certifies the closed-form basis instead of running Buchberger.
+    assert calls["enumerate_primitive_walks"] == 1
     assert calls.get("buchberger", 0) == (0 if argv[0] == "verify" else 1)
-    assert calls.get("initial_ideal") == 1
+    assert calls.get("initial_ideal", 0) == (0 if argv[0] == "gb" else 1)
     assert all(n <= 1 for n in calls.values()), calls
 
 
