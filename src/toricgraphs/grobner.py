@@ -12,8 +12,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce as _fold
-from itertools import compress
-from operator import add, le, not_, or_, sub
+from itertools import chain, compress
+from operator import add, le, neg, not_, or_, sub
 
 from .errors import BudgetError, DomainError
 from .graphs import SimpleGraph
@@ -133,6 +133,7 @@ class GrevlexOrder:
             raise DomainError("order priority must be a permutation of the variable names")
         pos = {n: i for i, n in enumerate(self.names)}
         self._scan = tuple(pos[n] for n in reversed(priority))
+        self._rank = tuple(sorted(range(len(self._scan)), key=self._scan.__getitem__))
 
     @property
     def nvars(self) -> int:
@@ -151,8 +152,11 @@ class GrevlexOrder:
         return 0
 
     def key(self, m: Monomial):
-        """Sort key; ascending key order is ascending monomial order."""
-        return (m.degree, tuple([-m.exps[i] for i in self._scan]))
+        """Sort key, ascending with the order: the degree, then the (scan rank,
+        -exponent) pairs of the support by rank, flattened into one int tuple;
+        at equal degree no key is a strict prefix of another."""
+        pairs = sorted(zip(compress(self._rank, m.exps), map(neg, filter(None, m.exps))))
+        return (m.degree, tuple(chain.from_iterable(pairs)))
 
     def normalize(self, f: Binomial) -> Binomial | None:
         """Leading monomial first; None for the zero binomial."""

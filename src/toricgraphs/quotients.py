@@ -11,7 +11,7 @@ order, which is the order the paper's linear quotients use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from math import comb
 from operator import or_
 
@@ -158,13 +158,16 @@ def betti_taylor_oracle(ideal: MonomialIdeal) -> BettiTable:
     complex splits per multidegree and beta_{i, alpha} is the homology
     dimension of the size-(i+1) layer of the alpha slice, by exact ranks.
 
+    One pass sorts the faces into one slice per lcm, by size.  Each slice
+    builds each face's boundary row once and each size's rank once; a
+    one-row boundary has rank 1 exactly when its row has an entry.
+
     Each multidegree is held as an int thermometer code: exponent e is the
     field (1 << e) - 1 of w bits, w the largest exponent, with variable 0 in
     the highest field.  Then lcm(S) is the bitwise OR of the codes, m_q
     divides it when code_q & ~lcm == 0, and its degree is the bit count.
     Comparing codes as ints compares exponent vectors lexicographically, so
-    the slices are visited, and the table entries inserted, in (size,
-    exponent vector) order.
+    the table entries are inserted in (size, exponent vector) order.
     """
     gens = list(ideal.min_gens)
     M = len(gens)
@@ -183,45 +186,46 @@ def betti_taylor_oracle(ideal: MonomialIdeal) -> BettiTable:
             code = (code << w) | ((1 << e) - 1)
         codes.append(code)
 
-    # lcm code of every admissible subset, and those subsets grouped by (size, lcm code).
-    lcms: dict[int, int] = {}
-    groups: dict[tuple[int, int], list[int]] = {}
+    # One record per lcm code: its admissible faces, grouped by size.
+    slices: dict[int, dict[int, list[int]]] = {}
     stack = [(1 << b, code, b) for b, code in enumerate(codes)]
     while stack:
         mask, alpha, first = stack.pop()
-        lcms[mask] = alpha
-        groups.setdefault((mask.bit_count(), alpha), []).append(mask)
+        slices.setdefault(alpha, {}).setdefault(mask.bit_count(), []).append(mask)
         for i in range(first):
             lcm = alpha | codes[i]
-            if all(c & ~lcm for c in codes[:i]):
+            for c in codes[:i]:
+                if not c & ~lcm:
+                    break
+            else:
                 stack.append((mask | 1 << i, lcm, i))
 
-    @cache
-    def boundary_rank(k: int, alpha: int) -> int:
-        """Rank of the size-k layer boundary within the multidegree slice."""
-        sources = groups.get((k, alpha))
-        targets = groups.get((k - 1, alpha))
-        if not sources or not targets:
-            return 0
-        col = {mask: c for c, mask in enumerate(targets)}
-        rows = []
-        for mask in sources:
-            row = {}
-            sign = 1
-            sub = mask
-            while sub:
-                low = sub & -sub
-                smaller = mask ^ low
-                if lcms[smaller] == alpha:
-                    row[col[smaller]] = sign
-                sign = -sign
-                sub ^= low
-            rows.append(row)
-        return sparse_rational_rank(rows)
-
-    for (k, alpha), masks in sorted(groups.items()):
-        dim = len(masks)
-        beta = dim - boundary_rank(k, alpha) - boundary_rank(k + 1, alpha)
-        if beta:
-            table.add(k - 1, alpha.bit_count(), beta)
+    entries = []
+    for alpha, layers in slices.items():
+        # rank[k]: rank of the boundary from the size-k faces to the size-(k-1) ones.
+        rank = dict.fromkeys(layers, 0)
+        for k, sources in layers.items():
+            targets = layers.get(k - 1)
+            if not targets:
+                continue
+            # A face's facets are admissible; those in this slice are the targets.
+            col = {mask: c for c, mask in enumerate(targets)}
+            rows = []
+            for mask in sources:
+                row, sign, sub = {}, 1, mask
+                while sub:
+                    low = sub & -sub
+                    c = col.get(mask ^ low)
+                    if c is not None:
+                        row[c] = sign
+                    sign = -sign
+                    sub ^= low
+                rows.append(row)
+            rank[k] = any(rows) if len(rows) == 1 else sparse_rational_rank(rows)
+        for k, faces in layers.items():
+            beta = len(faces) - rank[k] - rank.get(k + 1, 0)
+            if beta:
+                entries.append((k, alpha, beta))
+    for k, alpha, beta in sorted(entries):
+        table.add(k - 1, alpha.bit_count(), beta)
     return table

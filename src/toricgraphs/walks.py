@@ -13,9 +13,13 @@ of its edge-name sequence.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import compress
+from operator import not_, or_
+
 from .errors import DEFAULT_BUDGET, BudgetError, DomainError
 from .graphs import SimpleGraph
-from .grobner import Binomial, Monomial
+from .grobner import Binomial, Monomial, _positions
 
 
 def canonical_edge_names(edge_names: tuple[str, ...]) -> tuple[str, ...]:
@@ -177,9 +181,22 @@ def enumerate_primitive_walks(
     # Even cycles are primitive in any graph, and on a bipartite one the search finds nothing else.
     if all(len(set(w.vertices)) == len(w.edge_names) for w in walks):
         return walks
-    candidates = [walk_to_binomial(w) for w in walks]
-    candidates = [f for f in candidates if not f.is_zero()]
-    return [w for w in walks if is_primitive(w, candidates)]
+    binomials = [walk_to_binomial(w) for w in walks]
+    candidates = [f for f in binomials if not f.is_zero()]
+    # holders[v]: the candidates whose lhs uses variable v; holders[|E| + v]: those whose rhs does.
+    holders = [0] * (2 * len(graph.edges))
+    for p, g in enumerate(candidates):
+        for v in compress(range(len(holders)), g.lhs.exps + g.rhs.exps):
+            holders[v] |= 1 << p
+    live = (1 << len(candidates)) - 1
+
+    def inside(a: Monomial, b: Monomial) -> int:
+        """The candidates whose lhs uses only variables of a, and whose rhs only those of b."""
+        return live & ~reduce(or_, compress(holders, map(not_, a.exps + b.exps)), 0)
+
+    # Only a candidate inside the walk's sides, in either orientation, can divide them.
+    return [w for w, f in zip(walks, binomials) if is_primitive(
+        w, [candidates[p] for p in _positions(inside(f.lhs, f.rhs) | inside(f.rhs, f.lhs))])]
 
 
 def family_primitive_walks(graph: SimpleGraph) -> list[ClosedEvenWalk]:

@@ -147,6 +147,19 @@ def test_order_axioms_random():
         assert (order.key(u) < order.key(v)) == (cu == -1)
 
 
+def test_sparse_key_agrees_with_compare_under_random_priorities():
+    # The key lists only the nonzero exponents; sparse monomials of equal
+    # degree with different supports are where a prefix could mislead.
+    rng = random.Random(20261020)
+    names = [f"x{i}" for i in range(12)]
+    for _ in range(20):
+        order = GrevlexOrder(names, rng.sample(names, len(names)))
+        for _ in range(500):
+            u, v = (Monomial.from_variables(12, rng.choices(range(12), k=rng.randint(0, 4))) for _ in range(2))
+            ku, kv = order.key(u), order.key(v)
+            assert (ku > kv) - (ku < kv) == order.compare(u, v)
+
+
 # ---------------------------------------------------------------------------
 # S-binomials and reduction
 

@@ -17,7 +17,7 @@ from toricgraphs import (
     parse_graph,
     walk_to_binomial,
 )
-from toricgraphs.walks import family_primitive_walks
+from toricgraphs.walks import default_max_len, family_primitive_walks
 
 
 def decomposes_at_basepoint(walk: ClosedEvenWalk) -> bool:
@@ -381,3 +381,17 @@ def test_primitive_walks_match_brute_force_on_atlas():
         found = {frozenset((f.lhs.exps, f.rhs.exps))
                  for f in map(walk_to_binomial, enumerate_primitive_walks(g))}
         assert found == brute_force_primitive_binomials(g), g.edges
+
+
+def test_indexed_primitive_filter_equals_the_full_filter():
+    # The search passes each walk only the candidates inside its sides; the
+    # reference passes every walk every nonzero candidate.
+    k5 = graph_from_pairs([(i, j) for i in range(5) for j in range(i + 1, 5)])
+    petersen = graph_from_pairs([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    graphs = atlas_graphs(8) + [k5, petersen, bowtie_graph()]
+    assert len(graphs) == 202
+    for g in graphs:
+        walks = minimal_closed_even_walks(g, default_max_len(g))
+        candidates = [f for f in map(walk_to_binomial, walks) if not f.is_zero()]
+        assert enumerate_primitive_walks(g) == [w for w in walks if is_primitive(w, candidates)], g.edges
