@@ -12,6 +12,7 @@ from .grobner import (
     default_order,
     initial_ideal,
     reduce,
+    reduced_basis,
     s_binomial,
 )
 from .invariants import (

@@ -5,11 +5,11 @@ method as a lazily evaluated sequence of stages: primitive walks -> reduced
 Groebner basis -> in(I_G), its generators stored ascending -> their quotient
 profile -> graded Betti numbers (-> Hilbert series).  Each stage runs at
 most once per command, on first use, and each result is held only there;
-`verify` certifies the closed-form basis in place of running Buchberger.
-Every command that takes `--budget` rejects a negative one.
+`verify` interreduces the searched walks' binomials in place of running
+Buchberger.  Every command that takes `--budget` rejects a negative one.
 
-Exit codes: 0 success, 1 domain/usage error, 2 verification failure
-(the math disagrees), 3 budget exhaustion.
+Exit codes: 0 success, 1 domain/usage error (and a closed stdout), 2
+verification failure (the math disagrees), 3 budget exhaustion.
 
 `verify` gives each check the status pass, fail or budget (the check ran out
 of its search budget; the other checks still run).  Its overall status is
@@ -23,8 +23,10 @@ import argparse
 import ast
 import functools
 import json
+import os
 import sys
 import time
+from collections import Counter
 
 from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError, ParseError
 from .graphs import SimpleGraph, build_grd, build_k2d, parse_graph, serialize_graph
@@ -35,10 +37,10 @@ from .grobner import (
     format_binomial,
     format_monomial,
     initial_ideal,
+    reduced_basis,
 )
 from .invariants import (
     family_invariants,
-    groebner_certificate_failures,
     hilbert_enumeration_oracle,
     hilbert_from_betti,
     krull_dim,
@@ -113,12 +115,11 @@ def _closed_forms(graph):
 class Chain:
     """The stage chain on one graph under one monomial order; each stage is cached.
 
-    `searched` is the primitive walk search up to default_max_len, `fibers`
-    the edge map's fibers at its walks' images.  On every graph, family or
-    not, the basis is Buchberger's on the searched walks unless `verify`
-    assigns a certified closed-form one; no stage reads the closed forms.
-    `budget` caps the search's nodes, each fiber's steps and, at
-    max(1000, budget // 50), Buchberger's S-pairs.
+    `searched` is the primitive walk search up to default_max_len.  On every
+    graph, family or not, the basis is Buchberger's on the searched walks
+    unless `verify` assigns the one that `reduced_basis` interreduces from
+    them; no stage reads the closed forms.  `budget` caps the search's
+    nodes and, at max(1000, budget // 50), Buchberger's S-pairs.
     """
 
     def __init__(self, graph: SimpleGraph, order: GrevlexOrder, budget: int):
@@ -129,10 +130,6 @@ class Chain:
     @functools.cached_property
     def searched(self):
         return enumerate_primitive_walks(self.graph, node_budget=self.budget)
-
-    @functools.cached_property
-    def fibers(self):
-        return walk_fibers(self.graph, self.searched, self.budget)
 
     @functools.cached_property
     def basis(self):
@@ -350,11 +347,11 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     it is charged to that check; a check whose stage raised is skipped with
     a note, so a walk search that ran out of budget is not run again.  The
     closed-form walks are read once, by `primitive-walks` and
-    `groebner-basis`; no chain stage reads them.  The fibers at the
-    searched walks' images serve `groebner-basis`, which certifies the
-    closed-form basis and assigns it to the chain in place of Buchberger's,
-    and `toric-generator-degrees`.  An uncertified basis raises, so the
-    checks that read it are skipped.
+    `groebner-basis`; no chain stage reads them.  `groebner-basis` assigns
+    the chain the basis that `reduced_basis` interreduces from the searched
+    walks (a Graver basis, so a Groebner basis under every order) and names
+    the closed-form binomials it lacks or repeats; in(I_G) and all after it
+    read that basis.  Only `toric-generator-degrees` reads fibers.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
@@ -372,12 +369,11 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     report.run("primitive-walks", lambda: (walk_classes(closed_walks), walk_classes(chain.searched)))
 
     def check_basis():
-        closed = [order.normalize(walk_to_binomial(w)) for w in closed_walks]
-        failures = groebner_certificate_failures(graph, closed, order, chain.fibers)
-        if failures:
-            raise ConsistencyError("not the reduced Groebner basis: " + ", ".join(failures))
-        chain.basis = closed
-        return [], []
+        chain.basis = reduced_basis(map(walk_to_binomial, chain.searched), order)
+        closed = Counter(format_binomial(order.normalize(walk_to_binomial(w)), order.names)
+                         for w in closed_walks)
+        computed = Counter(format_binomial(g, order.names) for g in chain.basis)
+        return [], sorted(((closed - computed) + (computed - closed)).elements())
 
     report.run("groebner-basis", check_basis, needs="primitive-walks")
     report.run("initial-ideal", lambda: (readable(family_initial_generators(graph)),
@@ -405,7 +401,7 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
         row0 = {j: b for (i, j), b in fam.betti.items() if i == 0}
         top = max(row0)
         expected = {j: row0.get(j, 0) for j in range(2, top + 1)}
-        return expected, minimal_generators_oracle(graph, top, chain.fibers)
+        return expected, minimal_generators_oracle(graph, top, walk_fibers(graph, chain.searched, budget))
 
     report.run("toric-generator-degrees", check_toric_generators, needs="primitive-walks")
 
@@ -530,7 +526,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; devnull takes the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DOMAIN
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -82,10 +82,6 @@ class Binomial:
         self.lhs = lhs
         self.rhs = rhs
 
-    @property
-    def degree(self) -> int:
-        return self.lhs.degree
-
     def is_zero(self) -> bool:
         return self.lhs == self.rhs
 
@@ -225,14 +221,13 @@ class _Leads:
     """Lead index: a basis's normalized, nonzero binomials in list order.
     Bit k stands for `basis[k]`, so the lowest set bit is the first in list
     order; `holders[v]` masks the positions whose leading term uses variable
-    v, and `live` those a search may return."""
+    v."""
 
-    __slots__ = ("basis", "holders", "live")
+    __slots__ = ("basis", "holders")
 
     def __init__(self, basis, order: GrevlexOrder):
         self.basis: list[Binomial] = []
         self.holders = [0] * order.nvars
-        self.live = 0
         for g in map(order.normalize, basis):
             if g is not None:
                 self.append(g)
@@ -240,21 +235,17 @@ class _Leads:
     def append(self, g: Binomial) -> None:
         bit = 1 << len(self.basis)
         self.basis.append(g)
-        self.live |= bit
         for v in compress(range(len(self.holders)), g.lhs.exps):
             self.holders[v] |= bit
 
     def inside(self, m: Monomial) -> int:
-        """The live positions whose leading term uses only variables of m."""
-        return self.live & ~_fold(or_, compress(self.holders, map(not_, m.exps)), 0)
-
-    def divisors(self, m: Monomial):
-        """The live elements, in list order, whose leading term divides m."""
-        return (g for g in map(self.basis.__getitem__, _positions(self.inside(m))) if g.lhs.divides(m))
+        """The positions whose leading term uses only variables of m."""
+        return ~_fold(or_, compress(self.holders, map(not_, m.exps)), 0) & ((1 << len(self.basis)) - 1)
 
     def divisor(self, m: Monomial) -> Binomial | None:
-        """The first live element in list order whose leading term divides m."""
-        return next(self.divisors(m), None)
+        """The first element in list order whose leading term divides m."""
+        return next((g for g in map(self.basis.__getitem__, _positions(self.inside(m)))
+                     if g.lhs.divides(m)), None)
 
 
 def s_binomial(f: Binomial, g: Binomial, order: GrevlexOrder, big: Monomial) -> Binomial | None:
@@ -312,8 +303,8 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
     The basis sits in a lead index: a new element's coprime pairs are the
     earlier positions outside its variables' holders, and the chain
     criterion and each reduction step visit only the positions whose
-    leading term lies inside the monomial at hand.  Tail reduction masks
-    the element's own position out of one index over the minimal basis.
+    leading term lies inside the monomial at hand.  `reduced_basis`
+    interreduces the final basis.
     """
     basis: list[Binomial] = []
     for f in generators:
@@ -368,22 +359,28 @@ def buchberger(generators, order: GrevlexOrder, max_pairs: int = 200_000) -> lis
         index.append(r)
         add_pairs(len(basis) - 1)
 
-    # Minimalize: keep only elements whose leading term no other kept leading
-    # term divides, scanning in ascending leading-term order.
+    return reduced_basis(basis, order)
+
+
+def reduced_basis(gb, order: GrevlexOrder) -> list[Binomial]:
+    """The reduced Groebner basis of the ideal of the Groebner basis `gb`,
+    sorted as `buchberger` sorts it, from one interreduction pass.
+
+    The normalized input is sorted by (leading term, trailing term), and
+    each element is reduced modulo the nonzero remainders kept so far.
+    Each lead met lies in the kept leads' ideal, so one that a kept lead
+    divides, a repeated element's included, reduces to zero: its
+    remainder's lead would be smaller and in in(gb), so divisible by an
+    earlier lead, so by a kept lead.  A kept element keeps its lead, and
+    only a smaller lead can divide its tail, so the output is reduced.
+    """
     index = _Leads((), order)
-    for g in sorted(basis, key=lambda g: (order.key(g.lhs), order.key(g.rhs))):
-        if index.divisor(g.lhs) is None:
-            index.append(g)
-    # Tail-reduce each element against the others.
-    minimal, others = index.basis, index.live
-    reduced: list[Binomial] = []
-    for i, g in enumerate(minimal):
-        index.live = others & ~(1 << i)
-        r = reduce(g, index, order) if index.live else g
+    normalized = (g for g in map(order.normalize, gb) if g is not None)
+    for g in sorted(normalized, key=lambda g: (order.key(g.lhs), order.key(g.rhs))):
+        r = reduce(g, index, order)
         if r is not None:
-            reduced.append(r)
-    reduced.sort(key=lambda g: (g.degree, order.key(g.lhs), order.key(g.rhs)))
-    return reduced
+            index.append(r)
+    return index.basis
 
 
 def initial_ideal(gb, order: GrevlexOrder) -> MonomialIdeal:
@@ -391,9 +388,9 @@ def initial_ideal(gb, order: GrevlexOrder) -> MonomialIdeal:
     stored ascending under the order.
 
     Precondition: `gb` is a reduced Groebner basis with each leading term
-    first, as `buchberger` returns and as a closed form that
-    `groebner_certificate_failures` passed is; its leads are then the
-    minimal generators, so none is normalized or checked for divisibility.
+    first, as `buchberger` and `reduced_basis` return it; its leads are then
+    the minimal generators, so none is normalized or checked for
+    divisibility.
     """
     return MonomialIdeal._from_minimal(sorted((g.lhs for g in gb), key=order.key))
 

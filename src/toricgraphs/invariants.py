@@ -6,8 +6,8 @@ by synthetic division which asserts a zero remainder.  The Hilbert oracle
 packs each vertex image into one int and counts sumsets of images.
 `walk_fibers` lists the fibers of the edge map, as exact edge monomials, at
 the vertex images of given walks; at primitive walks' images lie all minimal
-generators and leads of a reduced Groebner basis, which the generator oracle
-and the Groebner certificate read off one such list.
+generators of the toric ideal, which the generator oracle reads off one such
+list.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import DEFAULT_BUDGET, BudgetError, ConsistencyError, DomainError
 from .graphs import FamilyTag, SimpleGraph
-from .grobner import GrevlexOrder, Monomial, _Leads, format_binomial, format_monomial
+from .grobner import Monomial
 from .linalg import rational_rank
 from .quotients import BettiTable
 
@@ -317,30 +317,6 @@ def minimal_generators_oracle(graph: SimpleGraph, max_deg: int, fibers) -> dict[
             components = rest
         out[sum(image) // 2] += len(components) - 1
     return out
-
-
-def groebner_certificate_failures(graph: SimpleGraph, basis, order: GrevlexOrder, fibers) -> list[str]:
-    """Why `basis` is not the reduced Groebner basis of I_G; empty if it is.
-    The elements outside I_G, not led by their leading term, or not reduced
-    come first; then each image, as a vertex monomial, whose fiber has other
-    than one member outside in(basis).  S/in(I_G) has one per fiber, and each
-    generator of in(I_G) leads a primitive binomial, whose degree is the image
-    of a primitive walk (Sturmfels, GBCP, Ch. 4).  So `fibers` must be
-    walk_fibers of walks that include every primitive walk of length <=
-    default_max_len(graph); other walks may be present."""
-    leads = _Leads(basis, order)
-
-    def divisors(m):  # how many leading terms divide m
-        return sum(1 for _ in leads.divisors(m))
-
-    def image(m):
-        return sorted(v for e, x in zip(graph.edges, m.exps) for v in e.ends * x)
-
-    failures = [format_binomial(g, order.names) for g in basis
-                if image(g.lhs) != image(g.rhs) or order.compare(g.lhs, g.rhs) <= 0
-                or divisors(g.lhs) != 1 or divisors(g.rhs)]
-    return failures + [format_monomial(Monomial(b), graph.vertices)
-                       for b, fiber in fibers if sum(not divisors(m) for m in fiber) != 1]
 
 
 def krull_dim(graph: SimpleGraph) -> int:

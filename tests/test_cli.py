@@ -426,10 +426,10 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
     assert doc["status"] == "budget"
     statuses = {c["name"]: c["status"] for c in doc["checks"]}
     assert statuses.pop("primitive-walks") == "budget"
-    # The Groebner certificate and the generator oracle read the exhausted
-    # walk search's fibers, so both are skipped, and so are the checks that
-    # read the certified basis.  --budget also caps the Hilbert oracle's
-    # monomials per degree (G(3,3) needs 55 in degree 2), so it runs out too.
+    # The Groebner basis and the generator oracle read the exhausted walk
+    # search, so both are skipped, and so are the checks that read the
+    # basis.  --budget also caps the Hilbert oracle's monomials per degree
+    # (G(3,3) needs 55 in degree 2), so it runs out too.
     skipped = ["groebner-basis", "initial-ideal", "linear-quotients", "betti-linear-quotients",
                "betti-taylor-oracle", "toric-generator-degrees"]
     assert sorted(statuses) == sorted(set(VERIFY_CHECKS[1:]) - set(skipped))
@@ -445,9 +445,9 @@ def test_verify_reports_budget_and_runs_the_other_checks(capsys):
 
 def test_verify_reports_a_failed_stage_and_skips_what_needs_it(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
-        raise BudgetError("walk search exceeded the node budget of 0")
+        raise BudgetError("interreduction exceeded a budget")
 
-    monkeypatch.setattr("toricgraphs.cli.groebner_certificate_failures", exhausted)
+    monkeypatch.setattr("toricgraphs.cli.reduced_basis", exhausted)
     code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
     assert code == 3
     doc = json.loads(out)
@@ -466,28 +466,40 @@ def test_verify_reports_a_failed_stage_and_skips_what_needs_it(capsys, monkeypat
 
 
 def test_verify_never_reads_an_uncertified_basis(capsys, monkeypatch):
+    # verify runs no Buchberger, and compares the closed form with the basis
+    # interreduced from the walk search as multisets: a dropped, an extra or
+    # a repeated closed-form binomial fails groebner-basis and is named.
+    # Only the comparison fails, so the later checks read the computed basis
+    # and pass; primitive-walks reads the same closed form and fails too.
     import toricgraphs.cli as cli
 
     def never(*args, **kwargs):
         raise AssertionError("verify ran Buchberger")
 
     monkeypatch.setattr(cli, "buchberger", never)
-    monkeypatch.setattr(cli, "groebner_certificate_failures", lambda *args: ["x1^2*x2^2*y1*y2"])
-    code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
-    assert code == 2
-    doc = json.loads(out)
-    checks = {c["name"]: c for c in doc["checks"]}
-    assert (checks["groebner-basis"]["status"], checks["groebner-basis"]["actual"]) == (
-        "fail", "ConsistencyError: not the reduced Groebner basis: x1^2*x2^2*y1*y2")
-    skipped = ["initial-ideal", "linear-quotients", "betti-linear-quotients", "betti-taylor-oracle"]
-    assert sorted(checks) == sorted(set(VERIFY_CHECKS) - set(skipped))
-    assert [note.split(" skipped")[0] for note in doc["notes"]] == skipped
+    graph = build_grd(3, 3)
+    order = default_order(graph)
+    walks = family_primitive_walks(graph)
+    # Two 4-cycles through y1: a walk whose binomial lies in I_G but is not primitive.
+    extra = ClosedEvenWalk(graph, ("a1", "a2", "b2", "b1", "a1", "a3", "b3", "b1"))
+    for closed, walk in ((walks[1:], walks[0]), (walks + [extra], extra), (walks + walks[-1:], walks[-1])):
+        monkeypatch.setattr(cli, "family_primitive_walks", lambda graph, _closed=closed: _closed)
+        code, out, _ = invoke(capsys, "verify", "--grd", "3", "3", "--json")
+        assert code == 2
+        doc = json.loads(out)
+        statuses = {c["name"]: c["status"] for c in doc["checks"]}
+        (check,) = [c for c in doc["checks"] if c["name"] == "groebner-basis"]
+        assert (check["status"], check["expected"]) == ("fail", "[]")
+        assert check["actual"] == str([format_binomial(order.normalize(walk_to_binomial(walk)), order.names)])
+        assert sorted(statuses) == sorted(VERIFY_CHECKS) and doc["notes"] == []
+        assert {name for name, status in statuses.items() if status != "pass"} == {
+            "primitive-walks", "groebner-basis"}
 
 
 def test_verify_runs_the_checks_after_a_failed_comparison(capsys, monkeypatch):
     # Only a check that raised skips its dependents: a wrong closed form for
     # in(I_G) fails initial-ideal, and the quotient and Betti checks still
-    # read the certified basis's initial ideal.
+    # read the computed basis's initial ideal.
     import toricgraphs.cli as cli
 
     monkeypatch.setattr(cli, "family_initial_generators", lambda graph: [])
@@ -510,7 +522,7 @@ def test_verify_json_schema(capsys):
     assert {"name", "status", "expected", "actual"} == set(doc["checks"][0])
     checks = {c["name"]: c for c in doc["checks"]}
     assert checks["initial-ideal"]["actual"] == "['a1*e2*e4', 'a2*b1', 'a2*e2*e4']"
-    # The certificate's failures: none.
+    # The closed-form binomials that the computed basis lacks or adds: none.
     assert checks["groebner-basis"]["expected"] == checks["groebner-basis"]["actual"] == "[]"
 
 
@@ -557,7 +569,7 @@ def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
     f = tmp_path / "g.json"
     f.write_text(serialize_graph(build_grd(3, 2)))
     calls = {}
-    for name in ("enumerate_primitive_walks", "buchberger", "initial_ideal", "quotient_profile"):
+    for name in ("enumerate_primitive_walks", "buchberger", "reduced_basis", "initial_ideal", "quotient_profile"):
         def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -565,17 +577,18 @@ def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
     code, _, _ = invoke(capsys, *[str(f) if a == "FILE" else a for a in argv])
     assert code == 0
     # Every command, on a family graph too, starts from one walk search;
-    # verify certifies the closed-form basis instead of running Buchberger.
+    # verify interreduces its binomials instead of running Buchberger.
     assert calls["enumerate_primitive_walks"] == 1
     assert calls.get("buchberger", 0) == (0 if argv[0] == "verify" else 1)
+    assert calls.get("reduced_basis", 0) == (1 if argv[0] == "verify" else 0)
     assert calls.get("initial_ideal", 0) == (0 if argv[0] == "gb" else 1)
     assert all(n <= 1 for n in calls.values()), calls
 
 
 def test_verify_searches_for_walks_once(capsys, monkeypatch):
-    # One walk search and one fiber pass serve primitive-walks, the Groebner
-    # certificate and toric-generator-degrees; a search that runs out of
-    # budget is not run again, and no fibers are listed without it.
+    # One walk search serves primitive-walks, groebner-basis and
+    # toric-generator-degrees, which alone lists fibers; a search that runs
+    # out of budget is not run again, and no fibers are listed without it.
     import toricgraphs.cli as cli
     import toricgraphs.walks as walks
 
@@ -630,3 +643,15 @@ def test_console_entry_point(capsys):
     assert done.stdout == invoke(capsys, "verify", "--grd", "3", "2", "--json")[1]
     assert main("verify", "--k2d", "1").returncode == 1
     assert main("walks", "--grd", "3", "4", "--budget", "5").returncode == 3
+
+
+def test_closed_stdout_exits_quietly():
+    # The reader goes away before the 78 KB of output, more than a pipe
+    # holds, is written: exit 1 with nothing on stderr, not a traceback.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "toricgraphs.cli", "walks", "--k2d", "100"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")

@@ -17,13 +17,13 @@ from toricgraphs import (
     enumerate_primitive_walks,
     initial_ideal,
     reduce,
+    reduced_basis,
     SimpleGraph,
     s_binomial,
     walk_to_binomial,
 )
 from toricgraphs.grobner import format_binomial, format_monomial, minimalize_monomials
-from toricgraphs.invariants import groebner_certificate_failures, walk_fibers
-from toricgraphs.walks import family_primitive_walks
+from toricgraphs.walks import default_max_len, family_primitive_walks, minimal_closed_even_walks
 
 
 def mono(order, text):
@@ -399,6 +399,83 @@ def test_buchberger_output_is_reduced_on_atlas_graphs():
 
 
 # ---------------------------------------------------------------------------
+# the reduced basis from one interreduction pass
+
+
+def atlas_graphs(max_edges):
+    nx = pytest.importorskip("networkx")
+    return [SimpleGraph([f"v{v}" for v in g.nodes],
+                        [Edge(f"x{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(g.edges)])
+            for g in nx.graph_atlas_g() if 0 < g.number_of_edges() <= max_edges and nx.is_connected(g)]
+
+
+def formatted(basis, order):
+    return [format_binomial(g, order.names) for g in basis]
+
+
+def minimal_walk_binomials(graph):
+    return [walk_to_binomial(w) for w in minimal_closed_even_walks(graph, default_max_len(graph))]
+
+
+def test_reduced_basis_equals_buchberger_on_atlas_graphs():
+    # The primitive binomials are the Graver basis, a Groebner basis under
+    # every order; the minimal walks add non-primitive binomials, which must
+    # reduce to zero.  Every element is a primitive binomial, since the
+    # universal Groebner basis lies in the Graver basis.
+    rng = random.Random(26)
+    graphs = atlas_graphs(8)
+    non_squarefree = 0
+    for graph in graphs:
+        primitive = [walk_to_binomial(w) for w in enumerate_primitive_walks(graph)]
+        minimal = minimal_walk_binomials(graph)
+        names = graph.edge_names
+        for priority in (names, rng.sample(names, len(names)), rng.sample(names, len(names))):
+            order = default_order(graph, priority)
+            reference = buchberger(primitive, order)
+            expected = formatted(reference, order)
+            assert formatted(reduced_basis(primitive, order), order) == expected, (graph.edges, priority)
+            assert formatted(reduced_basis(minimal, order), order) == expected, (graph.edges, priority)
+            assert set(expected) <= set(formatted(map(order.normalize, primitive), order))
+            non_squarefree += priority is names and not all(g.lhs.is_squarefree() for g in reference)
+    assert (len(graphs), non_squarefree) == (199, 2)
+
+
+def test_reduced_basis_equals_the_closed_form_beyond_buchbergers_pair_cap():
+    graph = build_k2d(40)
+    order = default_order(graph)
+    binomials = [walk_to_binomial(w) for w in enumerate_primitive_walks(graph)]
+    with pytest.raises(BudgetError):
+        buchberger(binomials, order)
+    closed = [order.normalize(walk_to_binomial(w)) for w in family_primitive_walks(graph)]
+    basis = reduced_basis(binomials, order)
+    assert len(basis) == 780
+    assert sorted(formatted(basis, order)) == sorted(formatted(closed, order))
+
+
+def test_reduced_basis_output_independent_of_input_order():
+    # Shuffled, with signs flipped and elements repeated.
+    rng = random.Random(7)
+    pairs = [(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (4, 5)]  # a non-squarefree lead
+    non_squarefree = SimpleGraph([f"v{v}" for v in range(6)],
+                                 [Edge(f"x{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(pairs)])
+    for graph in (build_grd(3, 4), build_k2d(5), non_squarefree):
+        order = default_order(graph)
+        binomials = minimal_walk_binomials(graph)
+        reference = reduced_basis(binomials, order)
+        for _ in range(10):
+            mixed = rng.sample(binomials, len(binomials)) + rng.choices(binomials, k=len(binomials))
+            assert reduced_basis([-f if rng.random() < 0.5 else f for f in mixed], order) == reference
+
+
+def test_reduced_basis_reduces_a_tail_divisible_by_another_lead():
+    # K_4's three perfect matchings g0*g5, g1*g4, g2*g3 form one fiber; the
+    # second input's tail is the first input's lead.
+    order = GrevlexOrder([f"g{k}" for k in range(6)])
+    basis = reduced_basis([bino(order, "g2*g3", "g1*g4"), bino(order, "g1*g4", "g0*g5")], order)
+    assert formatted(basis, order) == ["g1*g4 - g0*g5", "g2*g3 - g0*g5"]
+
+
+# ---------------------------------------------------------------------------
 # initial ideals
 
 
@@ -495,8 +572,11 @@ def test_initial_ideal_reads_the_leads_of_buchbergers_basis_on_atlas_graphs():
                                    for r in range(3, 7) for d in range(2, 7)]
                          + [pytest.param(build_k2d(d), id=f"K(2,{d})") for d in range(2, 11)])
 def test_initial_ideal_reads_the_leads_of_a_certified_closed_form(graph):
+    # The closed form is certified as verify certifies it: it is the basis
+    # interreduced from the walk search.
     order = default_order(graph)
     closed = [order.normalize(walk_to_binomial(w)) for w in family_primitive_walks(graph)]
-    fibers = walk_fibers(graph, enumerate_primitive_walks(graph))
-    assert groebner_certificate_failures(graph, closed, order, fibers) == []
+    computed = reduced_basis(map(walk_to_binomial, enumerate_primitive_walks(graph)), order)
+    assert sorted(formatted(closed, order)) == sorted(formatted(computed, order))
     assert_leads_are_the_minimal_generators(closed, order)
+    assert_leads_are_the_minimal_generators(computed, order)

@@ -24,19 +24,11 @@ from toricgraphs import (
     reg_pdim,
 )
 from toricgraphs.graphs import SimpleGraph
-from toricgraphs.grobner import (
-    Binomial,
-    Monomial,
-    buchberger,
-    default_order,
-    format_binomial,
-    format_monomial,
-)
-from toricgraphs.invariants import groebner_certificate_failures, quotient_numerator_from_betti, walk_fibers
+from toricgraphs.grobner import buchberger, default_order
+from toricgraphs.invariants import quotient_numerator_from_betti, walk_fibers
 from toricgraphs.walks import (
     default_max_len,
     enumerate_primitive_walks,
-    family_primitive_walks,
     minimal_closed_even_walks,
     walk_to_binomial,
 )
@@ -60,9 +52,8 @@ def path_graph(n):
 
 
 def search_fibers(graph):
-    """The fibers that verify's certificate and generator oracle read: at the
-    image of each walk that the primitive walk search finds up to the graph's
-    bound."""
+    """The fibers that verify's generator oracle reads: at the image of each
+    walk that the primitive walk search finds up to the graph's bound."""
     return walk_fibers(graph, enumerate_primitive_walks(graph))
 
 
@@ -504,112 +495,6 @@ def test_hvector_unimodality_scan():
     assert HilbertSeries((1, 1, -1), 0).unimodal  # rise then fall
     assert not HilbertSeries((1, -1, 1), 0).unimodal  # valley
     assert not HilbertSeries((2, 1, 2), 0).unimodal
-
-
-# ---------------------------------------------------------------------------
-# the Groebner basis certificate from the fibers at walk images
-
-
-def closed_form_basis(graph):
-    """The family's closed-form binomials, normalized and sorted, and the order."""
-    order = default_order(graph)
-    basis = sorted(map(order.normalize, map(walk_to_binomial, family_primitive_walks(graph))),
-                   key=lambda g: (g.degree, order.key(g.lhs), order.key(g.rhs)))
-    return basis, order
-
-
-def image_text(graph, m):
-    """The vertex image of an edge monomial, written as a vertex monomial."""
-    image = [0] * len(graph.vertices)
-    for e, x in enumerate(m.exps):
-        for v in graph.edges[e].ends:
-            image[graph.vertex_index[v]] += x
-    return format_monomial(Monomial(image), graph.vertices)
-
-
-@pytest.mark.parametrize("graph", [build_grd(3, d) for d in (3, 4, 5)] + [build_k2d(d) for d in (3, 4, 5, 6)],
-                         ids=["G33", "G34", "G35", "K23", "K24", "K25", "K26"])
-def test_certificate_fails_when_any_generator_is_dropped(graph):
-    basis, order = closed_form_basis(graph)
-    fibers = search_fibers(graph)
-    assert groebner_certificate_failures(graph, basis, order, fibers) == []
-    for k, g in enumerate(basis):
-        # The dropped lead and the tail both lie outside in(rest) in their fiber.
-        assert groebner_certificate_failures(graph, basis[:k] + basis[k + 1:], order, fibers) == [
-            image_text(graph, g.lhs)]
-
-
-def test_certificate_passes_beyond_buchbergers_pair_cap():
-    # Buchberger on these 780 binomials forms over 300,000 S-pairs.
-    graph = build_k2d(40)
-    assert groebner_certificate_failures(graph, *closed_form_basis(graph), search_fibers(graph)) == []
-
-
-def test_certificate_names_an_element_outside_the_ideal():
-    graph = build_grd(3, 3)
-    basis, order = closed_form_basis(graph)
-    outside = order.normalize(Binomial(basis[0].lhs, basis[-1].rhs))
-    assert image_text(graph, outside.lhs) != image_text(graph, outside.rhs)
-    failures = groebner_certificate_failures(graph, [outside] + basis[1:], order, search_fibers(graph))
-    assert failures[0] == format_binomial(outside, order.names)
-
-
-def test_certificate_names_an_element_led_by_its_tail_or_repeated():
-    # Neither changes in(basis), so only the element tests can see them.
-    graph = build_grd(3, 3)
-    basis, order = closed_form_basis(graph)
-    fibers = search_fibers(graph)
-    first = format_binomial(basis[0], order.names)
-    flipped = format_binomial(-basis[0], order.names)
-    assert groebner_certificate_failures(graph, [-basis[0]] + basis[1:], order, fibers) == [flipped]
-    assert groebner_certificate_failures(graph, basis + [basis[0]], order, fibers) == [first, first]
-
-
-def test_certificate_fails_on_a_tail_divisible_by_another_lead():
-    # K_4's three perfect matchings g0*g5, g1*g4, g2*g3 form one fiber, so
-    # g2*g3 - g1*g4 lies in I_G and has the right leading term, but its
-    # tail is the other element's leading term.
-    graph = graph_from_pairs([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    order = default_order(graph)
-    fibers = search_fibers(graph)
-    basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
-    assert [format_binomial(g, order.names) for g in basis] == ["g1*g4 - g0*g5", "g2*g3 - g0*g5"]
-    assert groebner_certificate_failures(graph, basis, order, fibers) == []
-    unreduced = [basis[0], Binomial(basis[1].lhs, basis[0].lhs)]
-    assert groebner_certificate_failures(graph, unreduced, order, fibers) == ["g2*g3 - g1*g4"]
-
-
-def test_certificate_accepts_non_squarefree_leading_terms():
-    # The two atlas graphs with at most 8 edges whose reduced basis under
-    # declaration-order grevlex has a non-squarefree lead, one lead each.
-    for pairs in ([(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (4, 5)],
-                  [(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (3, 6), (4, 6)]):
-        graph = graph_from_pairs(pairs)
-        order = default_order(graph)
-        basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
-        assert sum(not g.lhs.is_squarefree() for g in basis) == 1, pairs
-        fibers = search_fibers(graph)
-        assert groebner_certificate_failures(graph, basis, order, fibers) == [], pairs
-        for k in range(len(basis)):
-            assert groebner_certificate_failures(graph, basis[:k] + basis[k + 1:], order, fibers), (pairs, k)
-
-
-def test_certificate_agrees_with_buchberger_on_atlas():
-    # Every reduced basis is certified, non-squarefree leads included, and
-    # is minimal: dropping any one element breaks the certificate.
-    nx = pytest.importorskip("networkx")
-    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
-              if 0 < g.number_of_edges() <= 8 and nx.is_connected(g)]
-    non_squarefree = 0
-    for g in graphs:
-        order = default_order(g)
-        basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(g)], order)
-        fibers = search_fibers(g)
-        assert groebner_certificate_failures(g, basis, order, fibers) == [], g.edges
-        non_squarefree += not all(f.lhs.is_squarefree() for f in basis)
-        for k in range(len(basis)):
-            assert groebner_certificate_failures(g, basis[:k] + basis[k + 1:], order, fibers), (g.edges, k)
-    assert (len(graphs), non_squarefree) == (199, 2)
 
 
 # ---------------------------------------------------------------------------
