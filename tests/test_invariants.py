@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -23,12 +24,24 @@ from toricgraphs import (
     parse_graph,
     reg_pdim,
 )
+import toricgraphs.cli as cli
+from toricgraphs.errors import DEFAULT_BUDGET
 from toricgraphs.graphs import SimpleGraph
-from toricgraphs.grobner import buchberger, default_order
+from toricgraphs.grobner import (
+    Binomial,
+    Monomial,
+    buchberger,
+    default_order,
+    format_binomial,
+    format_monomial,
+    reduced_basis,
+)
 from toricgraphs.invariants import quotient_numerator_from_betti, walk_fibers
 from toricgraphs.walks import (
+    ClosedEvenWalk,
     default_max_len,
     enumerate_primitive_walks,
+    family_primitive_walks,
     minimal_closed_even_walks,
     walk_to_binomial,
 )
@@ -495,6 +508,119 @@ def test_hvector_unimodality_scan():
     assert HilbertSeries((1, 1, -1), 0).unimodal  # rise then fall
     assert not HilbertSeries((1, -1, 1), 0).unimodal  # valley
     assert not HilbertSeries((2, 1, 2), 0).unimodal
+
+
+# ---------------------------------------------------------------------------
+# verify's groebner-basis check: the closed form against the interreduced search
+
+
+def closed_form_basis(graph):
+    """The family's closed-form binomials, normalized and sorted, and the order."""
+    order = default_order(graph)
+    basis = sorted(map(order.normalize, map(walk_to_binomial, family_primitive_walks(graph))),
+                   key=lambda g: (order.key(g.lhs), order.key(g.rhs)))
+    return basis, order
+
+
+def basis_differences(graph, basis, order):
+    """The binomials, normalized and written out, in which `basis` and the
+    basis that `reduced_basis` interreduces from the walk search differ as
+    multisets: what verify's groebner-basis check reports for a closed form."""
+    computed = Counter(format_binomial(g, order.names) for g in
+                       reduced_basis(map(walk_to_binomial, enumerate_primitive_walks(graph)), order))
+    claimed = Counter(format_binomial(order.normalize(g), order.names) for g in basis)
+    return sorted(((claimed - computed) + (computed - claimed)).elements())
+
+
+def groebner_basis_check(graph, closed_walks, monkeypatch):
+    """verify's groebner-basis status and actual value with `closed_walks`
+    as the family's closed-form walks."""
+    monkeypatch.setattr(cli, "family_primitive_walks", lambda graph: list(closed_walks))
+    (check,) = [c for c in cli.verify_family(graph, DEFAULT_BUDGET).checks if c["name"] == "groebner-basis"]
+    return check["status"], check["actual"]
+
+
+def image_text(graph, m):
+    """The vertex image of an edge monomial, written as a vertex monomial."""
+    image = [0] * len(graph.vertices)
+    for e, x in enumerate(m.exps):
+        for v in graph.edges[e].ends:
+            image[graph.vertex_index[v]] += x
+    return format_monomial(Monomial(image), graph.vertices)
+
+
+@pytest.mark.parametrize("graph", [build_grd(3, d) for d in (3, 4, 5)] + [build_k2d(d) for d in (3, 4, 5, 6)],
+                         ids=["G33", "G34", "G35", "K23", "K24", "K25", "K26"])
+def test_certificate_fails_when_any_generator_is_dropped(graph, monkeypatch):
+    order = default_order(graph)
+    walks = family_primitive_walks(graph)
+    assert groebner_basis_check(graph, walks, monkeypatch) == ("pass", "[]")
+    for k, walk in enumerate(walks):
+        rest = walks[:k] + walks[k + 1:]
+        dropped = format_binomial(order.normalize(walk_to_binomial(walk)), order.names)
+        assert groebner_basis_check(graph, rest, monkeypatch) == ("fail", str([dropped]))
+        assert basis_differences(graph, map(walk_to_binomial, rest), order) == [dropped]
+
+
+def test_certificate_names_an_element_outside_the_ideal():
+    # The element replaces the one whose lead it keeps, so the check names both.
+    graph = build_grd(3, 3)
+    basis, order = closed_form_basis(graph)
+    outside = order.normalize(Binomial(basis[0].lhs, basis[-1].rhs))
+    assert image_text(graph, outside.lhs) != image_text(graph, outside.rhs)
+    assert basis_differences(graph, [outside] + basis[1:], order) == sorted(
+        format_binomial(g, order.names) for g in (outside, basis[0]))
+
+
+def test_certificate_names_an_element_led_by_its_tail_or_repeated(monkeypatch):
+    # The check normalizes each closed-form binomial, so a walk started one
+    # edge later, whose binomial is led by its tail, still passes; a
+    # repeated walk is named once, which a set comparison would miss.
+    graph = build_grd(3, 3)
+    order = default_order(graph)
+    walks = family_primitive_walks(graph)
+    names = walks[0].edge_names
+    shifted = ClosedEvenWalk(graph, names[1:] + names[:1])
+    assert walk_to_binomial(shifted) == -walk_to_binomial(walks[0])
+    assert groebner_basis_check(graph, [shifted] + walks[1:], monkeypatch) == ("pass", "[]")
+    first = format_binomial(order.normalize(walk_to_binomial(walks[0])), order.names)
+    assert groebner_basis_check(graph, walks + walks[:1], monkeypatch) == ("fail", str([first]))
+    basis, _ = closed_form_basis(graph)
+    assert basis_differences(graph, [-basis[0]] + basis[1:], order) == []
+    assert basis_differences(graph, basis + basis[:1], order) == [format_binomial(basis[0], order.names)]
+
+
+def test_certificate_accepts_non_squarefree_leading_terms():
+    # The two atlas graphs with at most 8 edges whose reduced basis under
+    # declaration-order grevlex has a non-squarefree lead, one lead each.
+    for pairs in ([(0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (4, 5)],
+                  [(0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (3, 6), (4, 6)]):
+        graph = graph_from_pairs(pairs)
+        order = default_order(graph)
+        basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(graph)], order)
+        assert sum(not g.lhs.is_squarefree() for g in basis) == 1, pairs
+        assert basis_differences(graph, basis, order) == [], pairs
+        for k in range(len(basis)):
+            assert basis_differences(graph, basis[:k] + basis[k + 1:], order) == [
+                format_binomial(basis[k], order.names)], (pairs, k)
+
+
+def test_certificate_agrees_with_buchberger_on_atlas():
+    # Every reduced basis is the interreduced walk search, non-squarefree
+    # leads included, and the check names any one element dropped from it.
+    nx = pytest.importorskip("networkx")
+    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
+              if 0 < g.number_of_edges() <= 8 and nx.is_connected(g)]
+    non_squarefree = 0
+    for g in graphs:
+        order = default_order(g)
+        basis = buchberger([walk_to_binomial(w) for w in enumerate_primitive_walks(g)], order)
+        assert basis_differences(g, basis, order) == [], g.edges
+        non_squarefree += not all(f.lhs.is_squarefree() for f in basis)
+        for k in range(len(basis)):
+            assert basis_differences(g, basis[:k] + basis[k + 1:], order) == [
+                format_binomial(basis[k], order.names)], (g.edges, k)
+    assert (len(graphs), non_squarefree) == (199, 2)
 
 
 # ---------------------------------------------------------------------------
