@@ -40,7 +40,6 @@ from .quotients import (
 from .walks import (
     ClosedEvenWalk,
     enumerate_primitive_walks,
-    is_minimal,
     is_primitive,
     minimal_closed_even_walks,
     walk_to_binomial,

@@ -56,6 +56,7 @@ from .quotients import (
     quotient_profile,
 )
 from .walks import (
+    canonical_edge_names,
     default_max_len,
     enumerate_primitive_walks,
     family_initial_generators,
@@ -93,6 +94,8 @@ def _load_graph(args) -> SimpleGraph:
                 text = fh.read()
         except OSError as exc:
             raise DomainError(f"cannot read graph file: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"graph file is not UTF-8: {exc}") from exc
         return parse_graph(text)
     if args.grd is not None:
         return build_grd(args.grd[0], args.grd[1])
@@ -360,7 +363,7 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     q = len(graph.edges)
 
     def walk_classes(walks):
-        return sorted(w.canonical_form() for w in walks)
+        return sorted(canonical_edge_names(w.edge_names) for w in walks)
 
     def readable(monomials):
         return sorted(format_monomial(m, order.names) for m in monomials)

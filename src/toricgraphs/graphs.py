@@ -140,6 +140,8 @@ def parse_graph(text: str) -> SimpleGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     for key in ("vertices", "edges"):

@@ -240,37 +240,41 @@ def hilbert_enumeration_oracle(
 
 def _fiber(ends, image, budget: int) -> list[Monomial]:
     """The edge monomials with vertex image `image`; `image` must be the
-    image of some edge monomial, so that each vertex it uses has an edge
-    inside its support.  Backtracking picks the exponent of each such edge
-    in turn, and a vertex must be used up by its last edge.  More than
-    `budget` steps raise BudgetError."""
+    nonzero image of some edge monomial, so that each vertex it uses has an
+    edge inside its support.  Backtracking picks the exponent of each such
+    edge in turn, from one iterator per edge on an explicit stack (a support
+    can have more edges than Python's recursion limit), and a vertex must be
+    used up by its last edge.  More than `budget` steps raise BudgetError."""
     need = list(image)
     edges = [(e, u, v) for e, (u, v) in enumerate(ends) if need[u] and need[v]]
     last = {x: i for i, (_, u, v) in enumerate(edges) for x in (u, v)}
     exps = [0] * len(ends)
     members: list[Monomial] = []
     steps = 0
-
-    def place(i):
-        nonlocal steps
-        if i == len(edges):
-            members.append(Monomial(exps))
-            return
+    _, u, v = edges[0]
+    stack = [iter(range(min(need[u], need[v]) + 1))]
+    while stack:
+        i = len(stack) - 1
         e, u, v = edges[i]
-        for k in range(min(need[u], need[v]) + 1):
-            steps += 1
-            if steps > budget:
-                raise BudgetError(f"a fiber of degree {sum(image) // 2} exceeded the step budget of {budget}")
-            need[u] -= k
-            need[v] -= k
-            if not (last[u] == i and need[u] or last[v] == i and need[v]):
-                exps[e] = k
-                place(i + 1)
-            need[u] += k
-            need[v] += k
-        exps[e] = 0
-
-    place(0)
+        need[u] += exps[e]  # take back the exponent last tried at this edge
+        need[v] += exps[e]
+        k = exps[e] = next(stack[-1], -1)
+        if k < 0:
+            exps[e] = 0
+            stack.pop()
+            continue
+        steps += 1
+        if steps > budget:
+            raise BudgetError(f"a fiber of degree {sum(image) // 2} exceeded the step budget of {budget}")
+        need[u] -= k
+        need[v] -= k
+        if last[u] == i and need[u] or last[v] == i and need[v]:
+            continue
+        if i + 1 == len(edges):
+            members.append(Monomial(exps))
+        else:
+            _, u, v = edges[i + 1]
+            stack.append(iter(range(min(need[u], need[v]) + 1)))
     return members
 
 

@@ -4,7 +4,9 @@ A closed even walk W of length 2s yields the pure-difference binomial whose
 lhs multiplies the edges at odd positions 1, 3, ..., 2s-1 and whose rhs
 multiplies the even positions.  The binomials of primitive walks form a
 Groebner basis of the graph's toric ideal under every monomial order, which
-is what the rest of the package cross-checks.
+is what the rest of the package cross-checks.  The search yields minimal
+walks only (no edge twice in a row), and the primitive filter tests the
+binomial that it builds once per walk.
 
 Walks are considered up to circular permutation and reversal; the canonical
 representative of a class is the lexicographically least rotation/reflection
@@ -29,36 +31,29 @@ def canonical_edge_names(edge_names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 class ClosedEvenWalk:
-    """A closed walk of even length, stored with its traversal vertex sequence."""
+    """A closed walk of even length, stored with its traversal vertex sequence
+    from the end of the first edge where it closes.  Only one end does unless
+    every edge is that edge; both then give the same image and binomial."""
 
-    def __init__(self, graph: SimpleGraph, edge_names, start: str | None = None):
+    def __init__(self, graph: SimpleGraph, edge_names):
         self.graph = graph
         self.edge_names = tuple(edge_names)
         if len(self.edge_names) == 0 or len(self.edge_names) % 2 != 0:
             raise DomainError("a closed even walk needs a positive even number of edges")
-        self.vertices = self._trace(start)
-
-    def _trace(self, start):
-        edges = [self.graph.edges[self.graph.edge_index[n]] for n in self.edge_names]
-        starts = [start] if start is not None else list(edges[0].ends)
-        last_error = None
-        for v0 in starts:
+        edges = [graph.edges[graph.edge_index[n]] for n in self.edge_names]
+        for v0 in edges[0].ends:
             seq = [v0]
-            ok = True
             for e in edges:
                 if seq[-1] not in e.ends:
-                    ok = False
-                    last_error = f"edge {e.name!r} does not continue the walk at {seq[-1]!r}"
+                    error = f"edge {e.name!r} does not continue the walk at {seq[-1]!r}"
                     break
                 seq.append(e.other(seq[-1]))
-            if ok and seq[-1] == seq[0]:
-                return tuple(seq)
-            if ok:
-                last_error = "walk does not return to its starting vertex"
-        raise DomainError(last_error or "invalid walk")
-
-    def canonical_form(self) -> tuple[str, ...]:
-        return canonical_edge_names(self.edge_names)
+            else:
+                if seq[-1] == seq[0]:
+                    self.vertices = tuple(seq)
+                    return
+                error = "walk does not return to its starting vertex"
+        raise DomainError(error)
 
     def __eq__(self, other):
         return isinstance(other, ClosedEvenWalk) and self.edge_names == other.edge_names
@@ -82,23 +77,17 @@ def walk_to_binomial(walk: ClosedEvenWalk) -> Binomial:
     )
 
 
-def is_minimal(walk: ClosedEvenWalk) -> bool:
-    """No two cyclically consecutive edges coincide."""
-    seq = walk.edge_names
-    n = len(seq)
-    return all(seq[i] != seq[(i + 1) % n] for i in range(n))
-
-
-def is_primitive(walk: ClosedEvenWalk, candidates) -> bool:
-    """Divisibility test against a universe of walk binomials.
+def is_primitive(f: Binomial, candidates) -> bool:
+    """Whether the walk binomial f is nonzero and no other binomial in
+    `candidates` divides it side by side.
 
     `candidates` must contain the binomial of every primitive walk of the
-    graph up to this walk's length (a non-primitive binomial has a primitive
-    side-by-side divisor of no greater degree); others may be present.
+    graph up to the walk's length (a non-primitive binomial has a primitive
+    side-by-side divisor of no greater degree); others may be present.  A
+    non-minimal walk needs no test of its own: cutting out a step there and
+    back on an edge e leaves a closed even walk whose binomial is f with e
+    divided out of each side, so f is zero or has such a divisor.
     """
-    if not is_minimal(walk):
-        return False
-    f = walk_to_binomial(walk)
     if f.is_zero():
         return False
     for g in candidates:
@@ -120,11 +109,12 @@ def minimal_closed_even_walks(
     Such a revisit splits a walk into two closed even walks, so the walk is
     not primitive; the result still holds every primitive walk up to
     max_len, which is all is_primitive needs.  On a bipartite graph it is
-    exactly the even cycles.  The depth-first search
-    cuts a branch at such a revisit; the step back to the start at even
-    length adds the walk's canonical form to a set.  The first edge carries
-    the minimum edge position used anywhere in the walk, which rules out
-    most rotated duplicates cheaply; the set removes the rest.  One
+    exactly the even cycles.  The depth-first search, one frame per step on
+    an explicit stack, never steps back along the edge it came in on, cuts a
+    branch at such a revisit, and adds the walk's canonical form to a set on
+    a step back to the start at even length.  The first edge carries the
+    minimum edge position used anywhere in the walk, which rules out most
+    rotated duplicates cheaply; the set removes the rest.  One
     ClosedEvenWalk is built per class at the end, in (length, canonical
     form) order.
     """
@@ -136,31 +126,31 @@ def minimal_closed_even_walks(
     edge_names = graph.edge_names
     parity = dict.fromkeys(graph.vertices, 0)  # bit 1: on the path at an even step, 2: odd
 
-    def extend(first_pos, start, cur, seq):
-        nonlocal nodes
-        for pos, nxt in adj[cur]:
-            if pos < first_pos or pos == seq[-1]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError(f"walk search exceeded the node budget of {node_budget}")
-            seq.append(pos)
-            n = len(seq)
-            bit = 1 << (n % 2)
-            if not parity[nxt] & bit:
-                if n < max_len:
-                    parity[nxt] |= bit
-                    extend(first_pos, start, nxt, seq)
-                    parity[nxt] ^= bit
-            elif nxt == start and n % 2 == 0:
-                found.add(canonical_edge_names(tuple(edge_names[p] for p in seq)))
-            seq.pop()
-
     for first_pos, edge in enumerate(graph.edges):
         for start, cur in (edge.ends, edge.ends[::-1]):
             parity[start], parity[cur] = 1, 2
-            extend(first_pos, start, cur, [first_pos])
-            parity[start] = parity[cur] = 0
+            seq, frames = [first_pos], [(cur, iter(adj[cur]))]  # (vertex after seq[i], its steps)
+            while frames:
+                for pos, nxt in frames[-1][1]:
+                    if pos < first_pos or pos == seq[-1]:
+                        continue
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise BudgetError(f"walk search exceeded the node budget of {node_budget}")
+                    n = len(seq) + 1
+                    bit = 1 << (n % 2)
+                    if not parity[nxt] & bit:
+                        if n < max_len:
+                            parity[nxt] |= bit
+                            seq.append(pos)
+                            frames.append((nxt, iter(adj[nxt])))
+                            break
+                    elif nxt == start and n % 2 == 0:
+                        found.add(canonical_edge_names(tuple(edge_names[p] for p in seq + [pos])))
+                else:
+                    parity[frames.pop()[0]] ^= 1 << (len(seq) % 2)
+                    seq.pop()
+            parity[start] = 0
 
     return [ClosedEvenWalk(graph, names) for names in sorted(found, key=lambda c: (len(c), c))]
 
@@ -196,7 +186,7 @@ def enumerate_primitive_walks(
 
     # Only a candidate inside the walk's sides, in either orientation, can divide them.
     return [w for w, f in zip(walks, binomials) if is_primitive(
-        w, [candidates[p] for p in _positions(inside(f.lhs, f.rhs) | inside(f.rhs, f.lhs))])]
+        f, [candidates[p] for p in _positions(inside(f.lhs, f.rhs) | inside(f.rhs, f.lhs))])]
 
 
 def family_primitive_walks(graph: SimpleGraph) -> list[ClosedEvenWalk]:
@@ -212,11 +202,11 @@ def family_primitive_walks(graph: SimpleGraph) -> list[ClosedEvenWalk]:
     walks = []
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
-            walks.append(ClosedEvenWalk(graph, (f"a{i}", f"b{i}", f"b{j}", f"a{j}"), start="x1"))
+            walks.append(ClosedEvenWalk(graph, (f"a{i}", f"b{i}", f"b{j}", f"a{j}")))
     if fam.r is not None:
         path = tuple(f"e{k}" for k in range(1, 2 * fam.r - 1))
         for i in range(1, d + 1):
-            walks.append(ClosedEvenWalk(graph, (f"a{i}",) + path + (f"b{i}",), start=f"y{i}"))
+            walks.append(ClosedEvenWalk(graph, (f"a{i}",) + path + (f"b{i}",)))
     return walks
 
 

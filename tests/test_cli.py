@@ -19,7 +19,7 @@ from toricgraphs import (
     walk_to_binomial,
 )
 from toricgraphs.grobner import format_binomial
-from toricgraphs.walks import ClosedEvenWalk, family_primitive_walks
+from toricgraphs.walks import ClosedEvenWalk, canonical_edge_names, family_primitive_walks
 from toricgraphs.cli import run
 
 
@@ -99,8 +99,8 @@ def test_walks_full_cap_on_grd_finds_the_family_walks(capsys):
     assert doc["truncated"] is False
     assert doc["count"] == 6
     g = build_grd(3, 3)
-    found = {ClosedEvenWalk(g, w).canonical_form() for w in doc["walks"]}
-    assert found == {w.canonical_form() for w in family_primitive_walks(g)}
+    found = {canonical_edge_names(ClosedEvenWalk(g, w).edge_names) for w in doc["walks"]}
+    assert found == {canonical_edge_names(w.edge_names) for w in family_primitive_walks(g)}
 
 
 def test_walks_truncation_on_graph_file(capsys, tmp_path):
@@ -124,6 +124,27 @@ def test_walks_budget_exhaustion_exit_code(capsys):
     code, _, err = invoke(capsys, "walks", "--grd", "3", "4", "--budget", "5")
     assert code == 3
     assert "budget" in err.lower()
+
+
+def test_searches_run_past_the_recursion_limit(capsys, tmp_path):
+    # Walks, and fiber supports, with more steps than Python's default
+    # recursion limit of 1000: both searches keep their own stacks.
+    code, out, _ = invoke(capsys, "walks", "--grd", "520", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "3 primitive walk classes (length <= 1040)"
+    n = 1000
+    cycle = {"vertices": [f"v{i}" for i in range(n)],
+             "edges": [{"name": f"c{i}", "ends": [f"v{i}", f"v{(i + 1) % n}"]} for i in range(n)]}
+    f = tmp_path / "c1000.json"
+    f.write_text(json.dumps(cycle))
+    code, out, _ = invoke(capsys, "gb", "--graph", str(f), "--json")
+    assert code == 0
+    assert len(json.loads(out)["basis"]) == 1
+    code, out, _ = invoke(capsys, "verify", "--grd", "520", "2", "--json")
+    assert code == 3
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert statuses.pop("hilbert-enumeration") == "budget"
+    assert set(statuses.values()) == {"pass"}
 
 
 def test_hilbert_enumeration_budget_exhaustion_exit_code(capsys):
@@ -628,6 +649,14 @@ def test_missing_graph_file(capsys):
     code, _, err = invoke(capsys, "gb", "--graph", "/nonexistent/g.json")
     assert code == 1
     assert "cannot read" in err
+
+
+def test_undecodable_graph_file_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "latin1.json"
+    f.write_bytes('{"vertices": ["\u00e9"], "edges": []}'.encode("latin-1"))
+    code, out, err = invoke(capsys, "gb", "--graph", str(f))
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: graph file is not UTF-8")
 
 
 def test_console_entry_point(capsys):

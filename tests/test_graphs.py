@@ -135,6 +135,11 @@ def test_parse_rejects_bad_json_with_position():
         parse_graph('{"vertices": [,]}')
 
 
+def test_parse_rejects_json_nested_too_deeply():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_graph("[" * 100_000 + "]" * 100_000)
+
+
 def test_parse_rejects_missing_fields_and_bad_shapes():
     with pytest.raises(ParseError, match="vertices"):
         parse_graph('{"edges": []}')

@@ -210,11 +210,7 @@ def test_reduce_concatenated_walk_binomial_to_zero():
     basis = [walk_to_binomial(w) for w in family_primitive_walks(build_grd(3, 2))]
     from toricgraphs import ClosedEvenWalk
 
-    glued = ClosedEvenWalk(
-        graph,
-        ("a2", "b2", "b1", "a1", "e1", "e2", "e3", "e4", "b1", "a1"),
-        start="x1",
-    )
+    glued = ClosedEvenWalk(graph, ("a2", "b2", "b1", "a1", "e1", "e2", "e3", "e4", "b1", "a1"))
     assert reduce(walk_to_binomial(glued), basis, order) is None
 
 

@@ -11,13 +11,12 @@ from toricgraphs import (
     build_grd,
     build_k2d,
     enumerate_primitive_walks,
-    is_minimal,
     is_primitive,
     minimal_closed_even_walks,
     parse_graph,
     walk_to_binomial,
 )
-from toricgraphs.walks import default_max_len, family_primitive_walks
+from toricgraphs.walks import canonical_edge_names, default_max_len, family_primitive_walks
 
 
 def decomposes_at_basepoint(walk: ClosedEvenWalk) -> bool:
@@ -29,9 +28,7 @@ def decomposes_at_basepoint(walk: ClosedEvenWalk) -> bool:
     seq = walk.edge_names
     n = len(seq)
     for k in range(n):
-        rotated = ClosedEvenWalk(
-            walk.graph, seq[k:] + seq[:k], start=walk.vertices[k]
-        )
+        rotated = ClosedEvenWalk(walk.graph, seq[k:] + seq[:k])
         base = rotated.vertices[0]
         for cut in range(2, n, 2):
             if rotated.vertices[cut] == base:
@@ -99,7 +96,7 @@ def test_walk_requires_connected_closed_sequence():
 
 def test_square_walk_binomial():
     g = build_k2d(4)
-    w = ClosedEvenWalk(g, ("a2", "b2", "b3", "a3"), start="x1")
+    w = ClosedEvenWalk(g, ("a2", "b2", "b3", "a3"))
     f = walk_to_binomial(w)
     names = g.edge_names
     lhs = {names[k]: e for k, e in enumerate(f.lhs.exps) if e}
@@ -110,7 +107,7 @@ def test_square_walk_binomial():
 
 def test_long_walk_binomial():
     g = build_grd(3, 2)
-    w = ClosedEvenWalk(g, ("a1", "e1", "e2", "e3", "e4", "b1"), start="y1")
+    w = ClosedEvenWalk(g, ("a1", "e1", "e2", "e3", "e4", "b1"))
     f = walk_to_binomial(w)
     names = g.edge_names
     lhs = {names[k] for k, e in enumerate(f.lhs.exps) if e}
@@ -121,18 +118,19 @@ def test_long_walk_binomial():
 
 def test_rotated_walk_binomial_equal_up_to_sign():
     g = build_k2d(3)
-    w = ClosedEvenWalk(g, ("a1", "b1", "b2", "a2"), start="x1")
-    rotated = ClosedEvenWalk(g, ("b1", "b2", "a2", "a1"), start="y1")
+    w = ClosedEvenWalk(g, ("a1", "b1", "b2", "a2"))
+    rotated = ClosedEvenWalk(g, ("b1", "b2", "a2", "a1"))
     f, fr = walk_to_binomial(w), walk_to_binomial(rotated)
     assert f.same_up_to_sign(fr)
 
 
 def test_canonical_form_identifies_rotations_and_reversal():
     g = build_k2d(3)
-    base = ClosedEvenWalk(g, ("a1", "b1", "b2", "a2"), start="x1")
-    rotated = ClosedEvenWalk(g, ("b2", "a2", "a1", "b1"), start="x2")
-    reversed_ = ClosedEvenWalk(g, ("a2", "b2", "b1", "a1"), start="x1")
-    assert base.canonical_form() == rotated.canonical_form() == reversed_.canonical_form()
+    base = ClosedEvenWalk(g, ("a1", "b1", "b2", "a2"))
+    rotated = ClosedEvenWalk(g, ("b2", "a2", "a1", "b1"))
+    reversed_ = ClosedEvenWalk(g, ("a2", "b2", "b1", "a1"))
+    assert canonical_edge_names(base.edge_names) == canonical_edge_names(rotated.edge_names) \
+        == canonical_edge_names(reversed_.edge_names)
 
 
 # ---------------------------------------------------------------------------
@@ -140,55 +138,66 @@ def test_canonical_form_identifies_rotations_and_reversal():
 
 
 def test_backtrack_walk_not_minimal():
+    # A walk along one edge and back closes from either end of the edge; the
+    # trace starts at the first, and the binomial is zero.
     g = path_graph(2)
-    w = ClosedEvenWalk(g, ("f0", "f0"), start="u0")
-    assert not is_minimal(w)
+    w = ClosedEvenWalk(g, ("f0", "f0"))
+    assert w.vertices == ("u0", "u1", "u0")
+    assert walk_to_binomial(w).is_zero()
 
 
 def test_square_walk_minimal():
+    # A minimal walk closes from exactly one end of its first edge, so its
+    # trace needs no start vertex.
     g = build_k2d(2)
-    assert is_minimal(ClosedEvenWalk(g, ("a1", "b1", "b2", "a2"), start="x1"))
+    assert ClosedEvenWalk(g, ("a1", "b1", "b2", "a2")).vertices == ("x1", "y1", "x2", "y2", "x1")
+    assert ClosedEvenWalk(g, ("b1", "b2", "a2", "a1")).vertices == ("y1", "x2", "y2", "x1", "y1")
 
 
 def test_cyclic_repeat_not_minimal():
+    # A repeated edge sits at one odd and one even position, so the
+    # divisibility test alone rejects the walk: its binomial is zero, or a
+    # shorter walk's binomial divides it side by side.
     g = build_k2d(2)
+    candidates = [walk_to_binomial(w) for w in minimal_closed_even_walks(g, 8)]
     # consecutive b1, b1 in the middle
-    w = ClosedEvenWalk(g, ("a1", "b1", "b1", "a1"), start="x1")
-    assert not is_minimal(w)
+    w = ClosedEvenWalk(g, ("a1", "b1", "b1", "a1"))
+    assert walk_to_binomial(w).is_zero()
+    assert not is_primitive(walk_to_binomial(w), candidates)
     # repeat only across the wrap-around
     g3 = build_k2d(3)
-    w2 = ClosedEvenWalk(
-        g3, ("a1", "b1", "b2", "a2", "a3", "b3", "b1", "a1"), start="x1"
-    )
-    assert not is_minimal(w2)
+    w2 = ClosedEvenWalk(g3, ("a1", "b1", "b2", "a2", "a3", "b3", "b1", "a1"))
+    f2 = walk_to_binomial(w2)
+    assert not f2.is_zero()
+    candidates = [walk_to_binomial(w) for w in minimal_closed_even_walks(g3, 12)]
+    assert not is_primitive(f2, candidates)
 
 
 def test_4cycle_primitive_in_k23():
     g = build_k2d(3)
     candidates = [walk_to_binomial(w) for w in minimal_closed_even_walks(g, 12)]
     candidates = [f for f in candidates if not f.is_zero()]
-    square = ClosedEvenWalk(g, ("a1", "b1", "b2", "a2"), start="x1")
-    assert is_primitive(square, candidates)
+    square = ClosedEvenWalk(g, ("a1", "b1", "b2", "a2"))
+    assert is_primitive(walk_to_binomial(square), candidates)
 
 
 def test_glued_walk_not_primitive():
     # A minimal walk that splits into two closed even walks at x1: the square
     # factor's binomial divides it, so the divisibility test must reject it.
     g = build_grd(3, 2)
-    glued = ClosedEvenWalk(
-        g, ("a2", "b2", "b1", "a1", "e1", "e2", "e3", "e4", "b1", "a1"), start="x1"
-    )
-    assert is_minimal(glued)
+    glued = ClosedEvenWalk(g, ("a2", "b2", "b1", "a1", "e1", "e2", "e3", "e4", "b1", "a1"))
+    assert glued.vertices[0] == "x1"
+    assert all(a != b for a, b in zip(glued.edge_names, glued.edge_names[1:] + glued.edge_names[:1]))
     assert decomposes_at_basepoint(glued)
     candidates = [walk_to_binomial(w) for w in minimal_closed_even_walks(g, 10)]
     candidates = [f for f in candidates if not f.is_zero()]
-    assert not is_primitive(glued, candidates)
+    assert not is_primitive(walk_to_binomial(glued), candidates)
 
 
 def test_non_minimal_walk_not_primitive():
     g = path_graph(2)
-    w = ClosedEvenWalk(g, ("f0", "f0"), start="u0")
-    assert not is_primitive(w, [])
+    w = ClosedEvenWalk(g, ("f0", "f0"))
+    assert not is_primitive(walk_to_binomial(w), [])
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +226,8 @@ def test_k2d_primitive_walk_count(d):
 @pytest.mark.parametrize("r,d", [(3, 2), (3, 3), (4, 2), (4, 4)])
 def test_enumeration_matches_closed_form(r, d):
     g = build_grd(r, d)
-    found = {w.canonical_form() for w in enumerate_primitive_walks(g, 2 * r)}
-    expected = {w.canonical_form() for w in family_primitive_walks(build_grd(r, d))}
+    found = {canonical_edge_names(w.edge_names) for w in enumerate_primitive_walks(g, 2 * r)}
+    expected = {canonical_edge_names(w.edge_names) for w in family_primitive_walks(build_grd(r, d))}
     assert found == expected
 
 
@@ -245,7 +254,8 @@ def test_grd_walks_domain_errors():
 @pytest.mark.parametrize("graph", [build_k2d(3), build_grd(3, 3), bowtie_graph()])
 def test_enumeration_output_is_minimal_and_indecomposable(graph):
     for w in enumerate_primitive_walks(graph):
-        assert is_minimal(w)
+        names = w.edge_names
+        assert all(a != b for a, b in zip(names, names[1:] + names[:1]))  # minimal, cyclically
         assert not decomposes_at_basepoint(w)
 
 
@@ -268,9 +278,9 @@ def test_bowtie_double_triangle_walks():
     f1, f2 = (walk_to_binomial(w) for w in walks)
     assert f1.same_up_to_sign(f2)
     # the doubled single triangle has a zero binomial, so it is excluded
-    doubled = ClosedEvenWalk(g, ("p", "q", "s", "p", "q", "s"), start="c")
+    doubled = ClosedEvenWalk(g, ("p", "q", "s", "p", "q", "s"))
     assert walk_to_binomial(doubled).is_zero()
-    assert not is_primitive(doubled, [f1, f2])
+    assert not is_primitive(walk_to_binomial(doubled), [f1, f2])
 
 
 def test_enumeration_deterministic_order():
@@ -281,7 +291,7 @@ def test_enumeration_deterministic_order():
     assert lengths == sorted(lengths)
     for a, b in zip(walks, walks[1:]):
         if len(a.edge_names) == len(b.edge_names):
-            assert a.canonical_form() < b.canonical_form()
+            assert canonical_edge_names(a.edge_names) < canonical_edge_names(b.edge_names)
 
 
 def test_walk_search_budget():
@@ -305,7 +315,7 @@ def test_k33_walks_are_the_even_cycles():
     candidates = [walk_to_binomial(w) for w in walks]
     for w in walks:
         assert len(set(w.vertices[:-1])) == len(w.edge_names)  # a cycle: no vertex repeats
-        assert is_primitive(w, candidates)
+        assert is_primitive(walk_to_binomial(w), candidates)
 
 
 @pytest.mark.parametrize("graph", [bowtie_graph(), build_grd(3, 3), k33_graph()],
@@ -323,7 +333,7 @@ def test_primitive_filter_runs_only_when_the_search_yields_a_non_cycle(monkeypat
 
     tested = []
     real = walks_module.is_primitive
-    monkeypatch.setattr(walks_module, "is_primitive", lambda w, c: tested.append(w) or real(w, c))
+    monkeypatch.setattr(walks_module, "is_primitive", lambda f, c: tested.append(f) or real(f, c))
     assert len(enumerate_primitive_walks(k33_graph())) == 15
     assert len(enumerate_primitive_walks(build_grd(3, 3))) == 6
     assert len(enumerate_primitive_walks(build_k2d(5))) == 10
@@ -394,4 +404,39 @@ def test_indexed_primitive_filter_equals_the_full_filter():
     for g in graphs:
         walks = minimal_closed_even_walks(g, default_max_len(g))
         candidates = [f for f in map(walk_to_binomial, walks) if not f.is_zero()]
-        assert enumerate_primitive_walks(g) == [w for w in walks if is_primitive(w, candidates)], g.edges
+        expected = [w for w in walks if is_primitive(walk_to_binomial(w), candidates)]
+        assert enumerate_primitive_walks(g) == expected, g.edges
+
+
+def test_non_minimal_walks_fail_the_divisibility_test_on_atlas():
+    # Insert a step there and back on an edge into each primitive walk at each
+    # vertex: the result is a closed even walk that is not minimal, and the
+    # divisibility test alone must reject it.
+    graphs = atlas_graphs(6)
+    made = 0
+    for g in graphs:
+        adj = g.adjacency()
+        candidates = [walk_to_binomial(w) for w in minimal_closed_even_walks(g, default_max_len(g))]
+        for w in enumerate_primitive_walks(g):
+            names = w.edge_names
+            for i in range(len(names)):
+                for pos, _ in adj[w.vertices[i]]:
+                    e = g.edge_names[pos]
+                    longer = ClosedEvenWalk(g, names[:i] + (e, e) + names[i:])
+                    assert not is_primitive(walk_to_binomial(longer), candidates), (g.edges, longer)
+                    made += 1
+    assert (len(graphs), made) == (52, 208)
+
+
+def test_primitive_filter_builds_each_binomial_once(monkeypatch):
+    # K_6 is not bipartite, so every minimal walk reaches the filter; the
+    # filter tests the binomial it built, not the walk.
+    import toricgraphs.walks as walks_module
+
+    k6 = graph_from_pairs([(i, j) for i in range(6) for j in range(i + 1, 6)])
+    minimal = len(minimal_closed_even_walks(k6, default_max_len(k6)))
+    built = []
+    real = walks_module.walk_to_binomial
+    monkeypatch.setattr(walks_module, "walk_to_binomial", lambda w: built.append(w) or real(w))
+    enumerate_primitive_walks(k6)
+    assert len(built) == minimal == 8384
