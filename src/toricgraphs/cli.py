@@ -47,7 +47,6 @@ from .invariants import (
     lower_bounds_from_induced,
     minimal_generators_oracle,
     reg_pdim,
-    walk_fibers,
 )
 from .quotients import (
     TAYLOR_MAX_GENERATORS,
@@ -140,7 +139,7 @@ class Chain:
 
     @functools.cached_property
     def initial(self):
-        return initial_ideal(self.basis, self.order)
+        return initial_ideal(self.basis)
 
     @functools.cached_property
     def quotients(self):
@@ -354,7 +353,8 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
     the chain the basis that `reduced_basis` interreduces from the searched
     walks (a Graver basis, so a Groebner basis under every order) and names
     the closed-form binomials it lacks or repeats; in(I_G) and all after it
-    read that basis.  Only `toric-generator-degrees` reads fibers.
+    read that basis.  `toric-generator-degrees` hands the searched walks to
+    the generator oracle, which alone lists fibers.
     """
     fam = family_invariants(graph.family)
     report = _Report(fam.label)
@@ -404,7 +404,7 @@ def verify_family(graph: SimpleGraph, budget: int) -> _Report:
         row0 = {j: b for (i, j), b in fam.betti.items() if i == 0}
         top = max(row0)
         expected = {j: row0.get(j, 0) for j in range(2, top + 1)}
-        return expected, minimal_generators_oracle(graph, top, walk_fibers(graph, chain.searched, budget))
+        return expected, minimal_generators_oracle(graph, top, chain.searched, budget)
 
     report.run("toric-generator-degrees", check_toric_generators, needs="primitive-walks")
 

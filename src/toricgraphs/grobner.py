@@ -56,9 +56,6 @@ class Monomial:
     def lcm(self, other: Monomial) -> Monomial:
         return Monomial(map(max, self.exps, other.exps))
 
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exps)
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 
@@ -383,16 +380,16 @@ def reduced_basis(gb, order: GrevlexOrder) -> list[Binomial]:
     return index.basis
 
 
-def initial_ideal(gb, order: GrevlexOrder) -> MonomialIdeal:
+def initial_ideal(gb) -> MonomialIdeal:
     """The ideal of leading terms of a Groebner basis, its minimal generators
-    stored ascending under the order.
+    stored in the basis's order.
 
-    Precondition: `gb` is a reduced Groebner basis with each leading term
-    first, as `buchberger` and `reduced_basis` return it; its leads are then
-    the minimal generators, so none is normalized or checked for
-    divisibility.
+    Precondition: `gb` is a reduced Groebner basis, each lead first and in
+    ascending order, as `reduced_basis` (and `buchberger`, which ends with
+    it) returns it: it sorts by lead, and each element it keeps keeps its
+    lead.  So the leads are the minimal generators, already sorted.
     """
-    return MonomialIdeal._from_minimal(sorted((g.lhs for g in gb), key=order.key))
+    return MonomialIdeal._from_minimal(g.lhs for g in gb)
 
 
 def default_order(graph: SimpleGraph, priority=None) -> GrevlexOrder:

@@ -3,11 +3,10 @@ enumeration/linear-algebra oracles that cross-check them.
 
 All polynomial arithmetic is over exact integers; (1-t) factors are removed
 by synthetic division which asserts a zero remainder.  The Hilbert oracle
-packs each vertex image into one int and counts sumsets of images.
-`walk_fibers` lists the fibers of the edge map, as exact edge monomials, at
-the vertex images of given walks; at primitive walks' images lie all minimal
-generators of the toric ideal, which the generator oracle reads off one such
-list.
+packs each vertex image into one int and counts sumsets of images.  The
+generator oracle reads the walk search: at primitive walks' vertex images
+lie all minimal generators of the toric ideal, so it lists the fiber of the
+edge map, as exact edge monomials, at each such image.
 """
 
 from __future__ import annotations
@@ -278,20 +277,13 @@ def _fiber(ends, image, budget: int) -> list[Monomial]:
     return members
 
 
-def walk_fibers(graph: SimpleGraph, walks, budget: int = DEFAULT_BUDGET) -> list[tuple]:
-    """(image, members) at each distinct vertex image of `walks`, in ascending
-    image order: the image as a tuple over graph.vertices, and the fiber's
-    edge monomials.  `budget` caps each fiber's backtracking steps."""
-    ends = [tuple(graph.vertex_index[x] for x in e.ends) for e in graph.edges]
-    images = sorted({tuple(map(w.vertices[1:].count, graph.vertices)) for w in walks})
-    return [(image, _fiber(ends, image, budget)) for image in images]
-
-
-def minimal_generators_oracle(graph: SimpleGraph, max_deg: int, fibers) -> dict[int, int]:
+def minimal_generators_oracle(graph: SimpleGraph, max_deg: int, walks,
+                              budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """Minimal generator counts of the toric ideal per degree, 2..max_deg,
-    from `fibers` of graph's edge map as walk_fibers lists them, which must
-    include the image of every primitive walk of length <= 2*max_deg; fibers
-    above max_deg are skipped.
+    from `walks` of graph, which must include every primitive walk of length
+    <= 2*max_deg; longer walks are skipped.  The fiber at each distinct
+    vertex image of the walks is listed in ascending image order, each
+    capped at `budget` backtracking steps.
 
     A fiber is the set of edge monomials with one vertex image b.  The ideal
     has c - 1 minimal generators in degree b, c being the fiber's components
@@ -304,12 +296,13 @@ def minimal_generators_oracle(graph: SimpleGraph, max_deg: int, fibers) -> dict[
     """
     if max_deg < 2:
         raise DomainError("max_deg must be at least 2")
+    ends = [tuple(graph.vertex_index[x] for x in e.ends) for e in graph.edges]
+    images = sorted({tuple(map(w.vertices[1:].count, graph.vertices))
+                     for w in walks if len(w.edge_names) <= 2 * max_deg})
     out = dict.fromkeys(range(2, max_deg + 1), 0)
-    for image, fiber in fibers:
-        if sum(image) > 2 * max_deg:
-            continue
+    for image in images:
         components: list[int] = []  # disjoint unions of the members' supports
-        for m in fiber:
+        for m in _fiber(ends, image, budget):
             s = m.support
             rest = []
             for c in components:

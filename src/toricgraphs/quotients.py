@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from math import comb
 from operator import or_
 
@@ -101,27 +102,42 @@ def colon_with_monomial(prior, m: Monomial) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(minimalize_monomials(gens))
 
 
+def _thermometer_codes(gens) -> list[int]:
+    """Each multidegree as an int: exponent e is the field (1 << e) - 1 of w
+    bits, w the largest exponent, with variable 0 in the highest field.
+
+    An OR of codes codes the lcm, a code inside another codes a divisor, the
+    bit count is the degree, and ints compare as exponent vectors do
+    lexicographically.  c = code(m_j) & ~code(m_k) codes m_j / gcd(m_j, m_k),
+    each field v shifted up m_k[v] bits for every j alike: the c keep the
+    quotients' degrees and divisibility, and a single-bit c of v is bit m_k[v].
+    """
+    w = max((max(g.exps, default=0) for g in gens), default=0)
+    shifts = [w * v for v in reversed(range(len(gens[0].exps)))] if gens else []
+    return [sum(((1 << e) - 1) << s for e, s in zip(filter(None, g.exps), compress(shifts, g.exps)))
+            for g in gens]
+
+
 def quotient_profile(ideal: MonomialIdeal) -> QuotientProfile:
     """Compute every successive colon ideal of ideal.min_gens, in stored
     order, and test for linear quotients.
 
-    Squarefree generators take a bitmask test first: (m_1,...,m_{k-1}) : (m_k)
-    is generated by the variable sets c_j = supp(m_j) & ~supp(m_k), none empty
-    as the generators are minimal.  With S_k the union of the one-variable
-    c_j, the colon is generated by variables exactly when every c_j meets S_k,
-    and then n_k = |S_k|.  Every other colon is computed by colon_with_monomial.
+    (m_1,...,m_{k-1}) : (m_k) is generated by the quotients coded by the
+    c_j = code(m_j) & ~code(m_k) of `_thermometer_codes`, none empty as the
+    generators are minimal.  With S_k the union of the single-bit c_j, the
+    colon is generated by variables exactly when every c_j meets S_k, and
+    then n_k = |S_k|.  Every other colon is computed by colon_with_monomial.
     """
     gens = ideal.min_gens
-    masks = [m.support for m in gens] if all(m.is_squarefree() for m in gens) else None
+    codes = _thermometer_codes(gens)
     n: list[int] = []
     linear = True
     for p, m in enumerate(gens):
-        if masks is not None:
-            cs = [c & ~masks[p] for c in masks[:p]]
-            singles = reduce(or_, (c for c in cs if not c & (c - 1)), 0)
-            if all(c & singles for c in cs):
-                n.append(singles.bit_count())
-                continue
+        cs = [c & ~codes[p] for c in codes[:p]]
+        singles = reduce(or_, (c for c in cs if not c & (c - 1)), 0)
+        if all(c & singles for c in cs):
+            n.append(singles.bit_count())
+            continue
         colon = colon_with_monomial(gens[:p], m).min_gens
         n.append(len(colon))
         linear = linear and all(g.degree == 1 for g in colon)
@@ -162,12 +178,8 @@ def betti_taylor_oracle(ideal: MonomialIdeal) -> BettiTable:
     builds each face's boundary row once and each size's rank once; a
     one-row boundary has rank 1 exactly when its row has an entry.
 
-    Each multidegree is held as an int thermometer code: exponent e is the
-    field (1 << e) - 1 of w bits, w the largest exponent, with variable 0 in
-    the highest field.  Then lcm(S) is the bitwise OR of the codes, m_q
-    divides it when code_q & ~lcm == 0, and its degree is the bit count.
-    Comparing codes as ints compares exponent vectors lexicographically, so
-    the table entries are inserted in (size, exponent vector) order.
+    Multidegrees are held as `_thermometer_codes`, so the table entries are
+    inserted in (size, exponent vector) order.
     """
     gens = list(ideal.min_gens)
     M = len(gens)
@@ -175,16 +187,7 @@ def betti_taylor_oracle(ideal: MonomialIdeal) -> BettiTable:
         raise BudgetError(
             f"Taylor oracle limited to {TAYLOR_MAX_GENERATORS} generators, got {M}"
         )
-    table = BettiTable()
-    if M == 0:
-        return table
-    w = max((e for g in gens for e in g.exps), default=0)
-    codes = []
-    for g in gens:
-        code = 0
-        for e in g.exps:
-            code = (code << w) | ((1 << e) - 1)
-        codes.append(code)
+    codes = _thermometer_codes(gens)
 
     # One record per lcm code: its admissible faces, grouped by size.
     slices: dict[int, dict[int, list[int]]] = {}
@@ -226,6 +229,7 @@ def betti_taylor_oracle(ideal: MonomialIdeal) -> BettiTable:
             beta = len(faces) - rank[k] - rank.get(k + 1, 0)
             if beta:
                 entries.append((k, alpha, beta))
+    table = BettiTable()
     for k, alpha, beta in sorted(entries):
         table.add(k - 1, alpha.bit_count(), beta)
     return table

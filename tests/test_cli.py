@@ -608,19 +608,20 @@ def test_each_stage_runs_at_most_once(capsys, monkeypatch, tmp_path, argv):
 
 def test_verify_searches_for_walks_once(capsys, monkeypatch):
     # One walk search serves primitive-walks, groebner-basis and
-    # toric-generator-degrees, which alone lists fibers; a search that runs
-    # out of budget is not run again, and no fibers are listed without it.
+    # toric-generator-degrees, whose generator oracle alone lists fibers; a
+    # search that runs out of budget is not run again, and no fibers are
+    # listed without it.
     import toricgraphs.cli as cli
     import toricgraphs.walks as walks
 
     calls = []
-    for module, name in ((walks, "minimal_closed_even_walks"), (cli, "walk_fibers")):
+    for module, name in ((walks, "minimal_closed_even_walks"), (cli, "minimal_generators_oracle")):
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     assert invoke(capsys, "verify", "--grd", "3", "3", "--json")[0] == 0
-    assert calls == ["minimal_closed_even_walks", "walk_fibers"]
+    assert calls == ["minimal_closed_even_walks", "minimal_generators_oracle"]
     calls.clear()
     assert invoke(capsys, "verify", "--grd", "3", "3", "--budget", "10", "--json")[0] == 3
     assert calls == ["minimal_closed_even_walks"]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import cache
 from itertools import chain, combinations_with_replacement, islice
 
@@ -23,6 +24,7 @@ from toricgraphs import (
     hilbert_from_betti,
     initial_ideal,
     quotient_profile,
+    reduced_basis,
     SimpleGraph,
     walk_to_binomial,
 )
@@ -47,7 +49,7 @@ def family_initial(r, d):
     graph = build_grd(r, d)
     order = default_order(graph)
     gb = buchberger([walk_to_binomial(w) for w in family_primitive_walks(build_grd(r, d))], order)
-    return order, initial_ideal(gb, order)
+    return order, initial_ideal(gb)
 
 
 def expected_n_sequence(d):
@@ -164,7 +166,7 @@ def family_initial_ideals():
         graph = build_k2d(d)
         order = default_order(graph)
         gb = buchberger([walk_to_binomial(w) for w in family_primitive_walks(graph)], order)
-        yield initial_ideal(gb, order)
+        yield initial_ideal(gb)
     for d in range(2, 6):
         yield family_initial(3, d)[1]
 
@@ -174,6 +176,18 @@ def test_profile_mask_test_matches_colon_loop_on_family_initial_ideals(colon_cal
         profile = quotient_profile(ideal)
         assert (profile.n, profile.linear) == profile_reference(ideal)
         assert profile.linear and colon_calls == []  # every colon took the mask test
+
+
+def assert_profile_matches_colon_loop(ideal, colon_calls):
+    """The profile equals the full colon loop's, and only the colons not
+    generated by variables reach colon_with_monomial; returns linear."""
+    colon_calls.clear()
+    n, linear = profile_reference(ideal)
+    profile = quotient_profile(ideal)
+    assert (profile.n, profile.linear) == (n, linear)
+    assert colon_calls == [m for m, c in zip(ideal.min_gens, reference_colons(ideal))
+                           if any(g.degree > 1 for g in c)]
+    return linear
 
 
 def test_profile_mask_test_matches_colon_loop_on_random_squarefree_ideals(colon_calls):
@@ -187,16 +201,31 @@ def test_profile_mask_test_matches_colon_loop_on_random_squarefree_ideals(colon_
         gens = minimalize_monomials(Monomial([(x >> i) & 1 for i in range(7)]) for x in masks)
         rng.shuffle(gens)
         for ideal in (MonomialIdeal(tuple(gens)), MonomialIdeal.from_generators(gens, GrevlexOrder("abcdefg"))):
-            colon_calls.clear()
-            n, linear = profile_reference(ideal)
-            profile = quotient_profile(ideal)
-            assert (profile.n, profile.linear) == (n, linear)
-            # Only the colons not generated by variables fall back to the loop.
-            assert len(colon_calls) == sum(1 for c in reference_colons(ideal) if any(g.degree > 1 for g in c))
-            seen[linear] += 1
+            seen[assert_profile_matches_colon_loop(ideal, colon_calls)] += 1
 
     check()
     assert seen[True] > 50 and seen[False] > 50, seen
+
+
+def test_profile_code_test_matches_colon_loop_on_random_ideals(colon_calls):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = Counter()
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=1, max_size=14),
+                      st.randoms())
+    def check(vectors, rng):
+        gens = minimalize_monomials(Monomial(v) for v in vectors if any(v))
+        if not gens:
+            return
+        rng.shuffle(gens)
+        squarefree = all(max(m.exps) <= 1 for m in gens)
+        for ideal in (MonomialIdeal(tuple(gens)), MonomialIdeal.from_generators(gens, GrevlexOrder("abcde"))):
+            seen[squarefree, assert_profile_matches_colon_loop(ideal, colon_calls)] += 1
+
+    check()
+    assert seen[False, True] > 50 and seen[False, False] > 50, seen
 
 
 @pytest.mark.parametrize("gens", [
@@ -206,13 +235,36 @@ def test_profile_mask_test_matches_colon_loop_on_random_squarefree_ideals(colon_
     ["x^2*y", "x*y*z", "y^2*z", "z^3"],
 ])
 def test_profile_non_squarefree_takes_the_colon_loop(colon_calls, gens):
+    # Only the colons not generated by variables take the loop.
     order = GrevlexOrder(["x", "y", "z"])
     for ideal in (MonomialIdeal(tuple(mono(order, g) for g in gens)),
                   MonomialIdeal.from_generators([mono(order, g) for g in gens], order)):
-        colon_calls.clear()
-        profile = quotient_profile(ideal)
-        assert (profile.n, profile.linear) == profile_reference(ideal)
-        assert colon_calls == list(ideal.min_gens)
+        linear = assert_profile_matches_colon_loop(ideal, colon_calls)
+        assert (colon_calls == []) == linear
+        if len(gens) == 6:  # (x,y,z)^2 reaches no colon loop
+            assert colon_calls == []
+
+
+def test_profile_matches_colon_loop_on_atlas_initial_ideals(colon_calls):
+    # in(I_G) of the connected atlas graphs with at most 9 edges and a
+    # primitive walk, under three priorities each.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    seen = Counter()
+    for g in nx.graph_atlas_g():
+        if not 0 < g.number_of_edges() <= 9 or not nx.is_connected(g):
+            continue
+        graph = SimpleGraph([f"v{v}" for v in g.nodes],
+                            [Edge(f"x{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(g.edges)])
+        binomials = [walk_to_binomial(w) for w in enumerate_primitive_walks(graph)]
+        if not binomials:
+            continue
+        names = graph.edge_names
+        for priority in (names, rng.sample(names, len(names)), rng.sample(names, len(names))):
+            ideal = initial_ideal(reduced_basis(binomials, default_order(graph, priority)))
+            assert_profile_matches_colon_loop(ideal, colon_calls)
+            seen[all(max(m.exps) <= 1 for m in ideal.min_gens)] += 1
+    assert (seen[True] + seen[False], seen[False]) == (798, 26), seen
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +398,7 @@ def test_lyubeznik_oracle_matches_taylor_on_atlas_initial_ideals():
         graph = SimpleGraph([f"v{v}" for v in g.nodes],
                             [Edge(f"x{k}", (f"v{u}", f"v{v}")) for k, (u, v) in enumerate(g.edges)])
         order = default_order(graph)
-        ideal = initial_ideal(buchberger(map(walk_to_binomial, enumerate_primitive_walks(graph)), order), order)
+        ideal = initial_ideal(buchberger(map(walk_to_binomial, enumerate_primitive_walks(graph)), order))
         assert list(betti_taylor_oracle(ideal).entries.items()) == list(taylor_reference(ideal).entries.items())
         sizes.append(len(ideal))
     assert len(sizes) == 621 and max(sizes) == 12
@@ -367,7 +419,7 @@ def test_lyubeznik_oracle_matches_taylor_on_random_ideals():
         rng.shuffle(gens)
         ideal = MonomialIdeal(tuple(gens))
         assert list(betti_taylor_oracle(ideal).entries.items()) == list(taylor_reference(ideal).entries.items())
-        seen[all(m.is_squarefree() for m in gens)] += 1
+        seen[all(max(m.exps) <= 1 for m in gens)] += 1
 
     check()
     assert seen[True] > 30 and seen[False] > 30, seen
