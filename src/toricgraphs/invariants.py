@@ -3,10 +3,12 @@ enumeration/linear-algebra oracles that cross-check them.
 
 All polynomial arithmetic is over exact integers; (1-t) factors are removed
 by synthetic division which asserts a zero remainder.  The Hilbert oracle
-packs each vertex image into one int and counts sumsets of images.  The
-generator oracle reads the walk search: at primitive walks' vertex images
-lie all minimal generators of the toric ideal, so it lists the fiber of the
-edge map, as exact edge monomials, at each such image.
+packs each vertex image into one int and counts sumsets of images, adding
+each edge only to images built from lower edges, one slice of one vertex's
+exponent at a time.  The generator oracle reads the walk search: at
+primitive walks' vertex images lie all minimal generators of the toric
+ideal, so it lists the fiber of the edge map, as exact edge monomials, at
+each such image.
 """
 
 from __future__ import annotations
@@ -227,13 +229,39 @@ def hilbert_enumeration_oracle(
     Degree k of the quotient by the toric ideal is spanned by the distinct
     vertex images of degree-k edge monomials under e -> (product of its
     endpoints), so counting distinct images gives the dimension exactly.
-    The images of degree k are the sumset D_k = D_{k-1} + D_1.
+    The images of degree k are the sumset D_k = D_{k-1} + D_1, built with
+    the largest edge last: a degree-k monomial whose largest edge is e has
+    the image of a degree-(k-1) monomial in edges <= e plus e's image.  So
+    each image of D_{k-1} is kept in the bucket of the first edge whose scan
+    produced it, and edge e adds its image only to the buckets <= e.  Each
+    degree is built one value of one vertex's field at a time (the vertex
+    with the most edges): images that differ there are distinct, so the
+    slices' counts add up and the largest set held is one slice's.  The top
+    degree, the largest, is only counted, never kept.
     """
-    ones = set(_packed_images(graph, max_deg, budget))
-    dims, level = [1], {0}
-    for _ in range(max_deg):
-        level = {x + y for x in level for y in ones}
-        dims.append(len(level))
+    ones = _packed_images(graph, max_deg, budget)
+    width = max_deg.bit_length()
+    hits = [sum(y >> (v * width) & 1 for y in ones) for v in range(len(graph.vertices))]
+    shift = width * max(range(len(hits)), key=hits.__getitem__, default=0)
+    # lower[e][c]: last degree's images first produced at edge e whose field
+    # reads c; only the top degree reaches max_deg, so lower[e][-1] is empty
+    lower = [[[0] if e == c == 0 else [] for c in range(max_deg + 1)] for e in range(len(ones))]
+    dims = [1]
+    for k in range(1, max_deg + 1):
+        upper = [[[] for _ in range(max_deg + 1)] for _ in ones]
+        dims.append(0)
+        for c in range(k + 1):
+            # slice c: edges at the vertex add 1 to its field, the others 0
+            at, off, seen = [], [], set()
+            for y, by_value, out in zip(ones, lower, upper):
+                at += by_value[c - 1]
+                off += by_value[c]
+                sums = map(y.__add__, at if y >> shift & 1 else off)
+                if k < max_deg:
+                    sums = out[c] = [s for s in sums if s not in seen]
+                seen.update(sums)
+            dims[-1] += len(seen)
+        lower = upper
     return dims
 
 

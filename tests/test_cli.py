@@ -332,6 +332,25 @@ def test_hilbert_enumerate(capsys):
     assert json.loads(out)["dimensions"] == [1, 8, 35]
 
 
+@pytest.mark.parametrize("graph,edges", [(["--grd", "3", "2"], 8), (["--k2d", "5"], 10), (["a", "b"], 0), ([], 0)],
+                         ids=["G(3,2)", "K(2,5)", "edgeless", "empty"])
+def test_hilbert_enumerate_low_degrees(capsys, tmp_path, graph, edges):
+    if not edges:  # a graph file with these vertices and no edge
+        f = tmp_path / "edgeless.json"
+        f.write_text(json.dumps({"vertices": graph, "edges": []}))
+        graph = ["--graph", str(f)]
+
+    def dims(*argv):
+        code, out, _ = invoke(capsys, "hilbert", *graph, "--method", "enumerate", *argv, "--json")
+        assert code == 0
+        return json.loads(out)["dimensions"]
+
+    assert dims("--max-deg", "0") == [1]
+    assert dims("--max-deg", "1") == [1, edges]
+    if not edges:
+        assert dims() == [1, 0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("max_deg", ["-1", "-2"])
 @pytest.mark.parametrize("method", ["formula", "betti", "enumerate"])
 def test_hilbert_rejects_negative_max_deg(capsys, method, max_deg):

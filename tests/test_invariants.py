@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb
+from random import Random
 
 import pytest
 
@@ -36,7 +38,7 @@ from toricgraphs.grobner import (
     format_monomial,
     reduced_basis,
 )
-from toricgraphs.invariants import _fiber, quotient_numerator_from_betti
+from toricgraphs.invariants import _fiber, _packed_images, quotient_numerator_from_betti
 from toricgraphs.walks import (
     ClosedEvenWalk,
     default_max_len,
@@ -225,6 +227,71 @@ def test_enumeration_budget_checked_before_enumerating(monkeypatch, oracle):
         oracle(build_grd(3, 3), 4, budget=100)
 
 
+def hilbert_sumset_reference(graph, max_deg):
+    """The plain sumset D_k = D_{k-1} + D_1 of packed vertex images, each
+    degree built whole from every image of the degree below."""
+    ones = set(_packed_images(graph, max_deg, DEFAULT_BUDGET))
+    dims, level = [1], {0}
+    for _ in range(max_deg):
+        level = {x + y for x in level for y in ones}
+        dims.append(len(level))
+    return dims
+
+
+def connected_atlas_graphs(max_edges):
+    nx = pytest.importorskip("networkx")
+    return [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
+            if 0 < g.number_of_edges() <= max_edges and nx.is_connected(g)]
+
+
+def test_enumeration_matches_sumset_reference_on_atlas():
+    # Degree |E| is the one perfbench/checks.py asks for on each gb --graph basis.
+    graphs = connected_atlas_graphs(8)
+    assert len(graphs) == 199
+    for g in graphs:
+        assert hilbert_enumeration_oracle(g, len(g.edges)) == hilbert_sumset_reference(g, len(g.edges)), g.edges
+
+
+@pytest.mark.parametrize("graph,max_deg", [(build_grd(r, d), 5) for r in range(3, 7) for d in range(2, 7)]
+                         + [(build_k2d(d), 5) for d in range(2, 13)]
+                         + [(build_k2d(20), 4), (build_grd(5, 10), 4)],
+                         ids=lambda x: repr(x.family) if isinstance(x, SimpleGraph) else str(x))
+def test_enumeration_matches_sumset_reference_on_families(graph, max_deg):
+    assert hilbert_enumeration_oracle(graph, max_deg) == hilbert_sumset_reference(graph, max_deg)
+
+
+def shuffled(graph, rng):
+    vertices, edges = list(graph.vertices), list(graph.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return SimpleGraph(vertices, edges)
+
+
+def test_enumeration_ignores_declaration_order():
+    # The buckets follow the edge order and the slices one vertex's field,
+    # but the dimensions are invariants of the graph.
+    rng = Random(2018)
+    cases = [(g, len(g.edges)) for g in connected_atlas_graphs(8)] + [(build_grd(3, 4), 5), (build_k2d(6), 5)]
+    for g, max_deg in cases:
+        dims = hilbert_enumeration_oracle(g, max_deg)
+        for _ in range(2):
+            assert hilbert_enumeration_oracle(shuffled(g, rng), max_deg) == dims, g.edges
+
+
+def test_enumeration_peak_is_at_most_half_the_reference():
+    # The top degree is counted one slice at a time and never held whole.
+    graph = build_k2d(20)
+    peaks = {}
+    for oracle in (hilbert_sumset_reference, hilbert_enumeration_oracle):
+        tracemalloc.start()
+        try:
+            assert oracle(graph, 4) == [1, 40, 630, 6160, 44275]
+            peaks[oracle] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert 2 * peaks[hilbert_enumeration_oracle] <= peaks[hilbert_sumset_reference], peaks
+
+
 def test_minimal_generators_g35():
     graph = build_grd(3, 5)
     assert minimal_generators_oracle(graph, 3, enumerate_primitive_walks(graph)) == {2: 10, 3: 5}
@@ -278,9 +345,7 @@ def rank_reference(graph, max_deg):
 
 
 def test_minimal_generators_match_rank_reference_on_atlas():
-    nx = pytest.importorskip("networkx")
-    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
-              if 0 < g.number_of_edges() <= 7 and nx.is_connected(g)]
+    graphs = connected_atlas_graphs(7)
     assert len(graphs) == 108
     for g in graphs:
         max_deg = max(2, min(len(g.edges), 5))
@@ -336,9 +401,7 @@ def oracles_reference(graph, max_deg):
 
 
 def test_oracles_match_fiber_reference_on_atlas():
-    nx = pytest.importorskip("networkx")
-    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
-              if 0 < g.number_of_edges() <= 7 and nx.is_connected(g)]
+    graphs = connected_atlas_graphs(7)
     assert len(graphs) == 108
     for g in graphs:
         dims, counts = oracles_reference(g, 6)
@@ -369,9 +432,7 @@ def assert_walk_fibers_match_reference(graph):
 
 
 def test_walk_fibers_match_fiber_reference_on_atlas():
-    nx = pytest.importorskip("networkx")
-    graphs = [graph_from_pairs(list(g.edges)) for g in nx.graph_atlas_g()
-              if 0 < g.number_of_edges() <= 7 and nx.is_connected(g)]
+    graphs = connected_atlas_graphs(7)
     assert len(graphs) == 108
     for g in graphs:
         assert_walk_fibers_match_reference(g)
